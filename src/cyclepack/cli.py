@@ -17,7 +17,9 @@ import sys
 import time
 
 from . import constructions, fixtures, oracle, report
-from .embedding import make_sum, parse_cycle_type, realize
+from .embedding import CycleType, make_sum, parse_cycle_type
+
+STRATEGIES = ("auto", "rotation", "k4", "triangles", "bxy", "divide", "search")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -43,11 +45,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     k = sub.add_parser("pack", help="construct one validated packing")
     k.add_argument("cycle_type")
-    k.add_argument(
-        "--strategy",
-        choices=("auto", "rotation", "k4", "triangles", "bxy", "divide", "search"),
-        default="auto",
-    )
+    k.add_argument("--strategy", choices=STRATEGIES, default="auto")
     k.add_argument("--variant", help="triangles: A|B; bxy: bipartite|nonbipartite")
     k.add_argument("--shift", type=int, help="rotation: explicit shift r")
     k.add_argument("--require-k4", choices=("yes", "no"), help="search: sum must/must not contain K4")
@@ -64,22 +62,16 @@ def _build_parser() -> argparse.ArgumentParser:
     e = sub.add_parser("export", help="write a packing sum as a DOT file")
     e.add_argument("cycle_type")
     e.add_argument("--dot", required=True, help="output path")
-    e.add_argument(
-        "--strategy",
-        choices=("auto", "rotation", "k4", "triangles", "bxy", "divide", "search"),
-        default="auto",
-    )
+    e.add_argument("--strategy", choices=STRATEGIES, default="auto")
     e.add_argument("--variant")
     e.add_argument("--shift", type=int)
+    # no filter flags here: --strategy search exports the first packing found
+    e.set_defaults(require_k4=None, require_planar=None, connected=False)
 
     f = sub.add_parser("fixtures", help="regenerate or verify the committed packings")
     f.add_argument("action", choices=("regen", "verify"))
     f.add_argument("names", nargs="*", help="fixture names (default: all)")
     return p
-
-
-def _parse_type(text: str) -> CycleType:
-    return parse_cycle_type(text)
 
 
 def _timed(doc: dict, t0: float, wanted: bool) -> dict:
@@ -90,7 +82,7 @@ def _timed(doc: dict, t0: float, wanted: bool) -> dict:
 
 def _cmd_classify(args) -> int:
     t0 = time.perf_counter()
-    ct = _parse_type(args.cycle_type)
+    ct = parse_cycle_type(args.cycle_type)
     payload: dict = {"cycle_type": ct.render(), "mode": args.mode}
     if args.mode in ("theorem", "both"):
         payload["theorem"] = oracle.classify_by_theorem(ct).verdict.value
@@ -134,27 +126,19 @@ def _packing_for(ct: CycleType, args):
         return constructions.bxy_packing(ct, args.variant or "bipartite")
     if strategy == "divide":
         return constructions.divide_and_pack(ct)
-    params: dict = {"cycle_type": list(ct.lengths), "reduced": True}
+    require = {}
     if args.require_k4 is not None:
-        params["require_k4"] = args.require_k4 == "yes"
+        require["require_k4"] = args.require_k4 == "yes"
     if args.require_planar is not None:
-        params["require_planar"] = args.require_planar == "yes"
+        require["require_planar"] = args.require_planar == "yes"
     if args.connected:
-        params["require_connected"] = True
-    constraints = oracle.SearchConstraints(
-        require_k4=params.get("require_k4"),
-        require_planar=params.get("require_planar"),
-        require_connected=params.get("require_connected"),
-    )
-    found = oracle.find_embedding(realize(ct), constraints, reduced=True)
-    if found is None:
-        raise ValueError("no packing satisfies the given constraints")
-    return found.with_trace((constructions.TraceStep("search", params),))
+        require["require_connected"] = True
+    return constructions.search_packing(ct, **require)
 
 
 def _cmd_pack(args) -> int:
     t0 = time.perf_counter()
-    ct = _parse_type(args.cycle_type)
+    ct = parse_cycle_type(args.cycle_type)
     e = _packing_for(ct, args)
     payload = {
         "cycle_type": ct.render(),
@@ -170,7 +154,7 @@ def _cmd_census(args) -> int:
     t0 = time.perf_counter()
     if args.n_max < 3:
         raise ValueError("n_max must be at least 3")
-    if args.n_max >= oracle.SOFT_CENSUS_LIMIT + 1:
+    if args.n_max >= oracle.CENSUS_LIMIT:
         print(
             f"warning: census({args.n_max}) is expensive; largest types may take long",
             file=sys.stderr,
@@ -208,7 +192,7 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    ct = _parse_type(args.cycle_type)
+    ct = parse_cycle_type(args.cycle_type)
     e = _packing_for(ct, args)
     ps = make_sum(e)
     text = report.export_dot(ps)

@@ -41,13 +41,14 @@ from .graph import (
     build_graph,
     connected_components,
 )
-from .invariants import are_isomorphic, max_triangle_subset
+from .invariants import are_isomorphic, max_triangle_subset, planarity_claim
 from .oracle import (
     NOT_EMBEDDABLE_TYPES,
     UNIQUE_TYPES,
     SearchConstraints,
     find_embedding,
     invariant_value,
+    satisfies,
 )
 
 
@@ -598,17 +599,11 @@ def ladder_extend(template: str, l: int) -> Embedding:
         if e is None:
             continue
         s = make_sum(e).sum
-        if "planar" in spec.invariants:
-            # cheap unverified pre-filter; the accepted placement is
-            # re-proved with certificates just below
-            from .invariants import planarity_claim
-
-            claim = planarity_claim(s)
-            if claim is not None and claim != spec.invariants["planar"]:
-                continue
-        if not all(
-            invariant_value(s, key) == want for key, want in sorted(spec.invariants.items())
-        ):
+        # cheap unverified pre-filter; the accepted placement is re-proved
+        # with certificates just below
+        if "planar" in spec.invariants and planarity_claim(s) != spec.invariants["planar"]:
+            continue
+        if not satisfies(s, spec.invariants):
             continue
         e = e.with_trace((_step("ladder", cycle_type=list(new_lengths), template=template, l=l),))
         _LADDER_CACHE[(template, l)] = e
@@ -839,6 +834,18 @@ def _components_pair(ct, first, second) -> DistinctPair:
     return DistinctPair(ct, first, second, "connectivity", f"sum components: {c1} vs {c2}")
 
 
+# ------------------------------------------------------------------ search
+
+
+def search_packing(ct: CycleType, **require: bool) -> Embedding:
+    """First packing in reduced search order whose sum meets the given
+    SearchConstraints require_* filters, traced as a "search" step."""
+    found = find_embedding(realize(ct), SearchConstraints(**require), reduced=True)
+    if found is None:
+        raise ValueError("no packing satisfies the given constraints")
+    return found.with_trace((_step("search", cycle_type=list(ct.lengths), reduced=True, **require),))
+
+
 # ------------------------------------------------------------------ replay
 
 
@@ -876,14 +883,7 @@ def replay_trace(ct: CycleType, trace) -> Embedding:
         elif op == "divide":
             e = divide_and_pack(sub, (tuple(p["split"][0]), tuple(p["split"][1])))
         elif op == "search":
-            cons = SearchConstraints(
-                require_k4=p.get("require_k4"),
-                require_planar=p.get("require_planar"),
-                require_connected=p.get("require_connected"),
-            )
-            found = find_embedding(realize(sub), cons, reduced=True)
-            assert found is not None
-            e = found.with_trace((st,))
+            e = search_packing(sub, **{k: v for k, v in p.items() if k.startswith("require_")})
         elif op == "search-second-class":
             ref = Embedding(realize(sub), Permutation(tuple(p["distinct_from"])))
             e = _second_class_search(ref)

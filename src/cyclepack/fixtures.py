@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .embedding import CycleType, Embedding, make_sum, realize
 from .graph import Permutation
-from .oracle import enumerate_embeddings, invariant_value
+from .oracle import enumerate_embeddings, satisfies
 
 SCHEMA_VERSION = 1
 
@@ -79,11 +79,6 @@ def _spec(name: str) -> FixtureSpec:
         raise FixtureError(f"unknown fixture {name!r}") from None
 
 
-def _matches_declaration(e: Embedding, invariants: dict[str, bool]) -> bool:
-    s = make_sum(e).sum
-    return all(invariant_value(s, key) == want for key, want in sorted(invariants.items()))
-
-
 def search_fixture(name: str) -> Embedding:
     """Recompute a fixture's packing from scratch by reduced search."""
     spec = _spec(name)
@@ -91,7 +86,7 @@ def search_fixture(name: str) -> Embedding:
     hit: list[Embedding] = []
 
     def visit(e: Embedding) -> bool:
-        if _matches_declaration(e, spec.invariants):
+        if satisfies(make_sum(e).sum, spec.invariants):
             hit.append(e)
             return False
         return True
@@ -158,7 +153,7 @@ def load_fixture(name: str) -> Embedding:
         raise FixtureError(f"fixture {name}: stored permutation is not a valid packing: {exc}") from exc
     if record.get("invariants") != dict(sorted(spec.invariants.items())):
         raise FixtureError(f"fixture {name}: declared invariants drifted from the registry")
-    if not _matches_declaration(e, spec.invariants):
+    if not satisfies(make_sum(e).sum, spec.invariants):
         raise FixtureError(f"fixture {name}: stored packing violates declared invariants {spec.invariants}")
     _CACHE[name] = e
     return e

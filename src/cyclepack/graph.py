@@ -4,7 +4,7 @@ Vertices are 0..n-1.  Adjacency rows are Python ints used as bitsets, so
 edge membership is one AND and neighbourhood iteration walks set bits.
 Graphs are immutable values: every operation returns a new Graph.
 Target scale is n <= 24, which keeps every row in a single machine word
-territory and makes brute-force connectivity checks free.
+territory.
 """
 
 from __future__ import annotations
@@ -171,43 +171,69 @@ def connected_components(g: Graph) -> list[list[int]]:
     return comps
 
 
-def _component_count_within(g: Graph, vertices: int) -> int:
-    # number of connected pieces of the induced subgraph on the given bitmask
-    count = 0
-    left = vertices
-    while left:
-        start = left & -left
-        frontier = start
-        comp = 0
-        while frontier:
-            comp |= frontier
-            nxt = 0
-            for v in bits(frontier):
-                nxt |= g.adj[v] & vertices
-            frontier = nxt & ~comp
-        count += 1
-        left &= ~comp
-    return count
+def biconnected_blocks(g: Graph) -> list[list[int]]:
+    """Vertex sets of biconnected components (edge blocks) via iterative
+    DFS lowpoints; a bridge is a block of two vertices and an isolated
+    vertex lies in no block."""
+    n = g.n
+    num = [-1] * n
+    low = [0] * n
+    blocks: list[list[int]] = []
+    stack: list[tuple[int, int]] = []  # edge stack
+    counter = [0]
+
+    for root in range(n):
+        if num[root] != -1:
+            continue
+        work = [(root, -1, iter(list(bits(g.adj[root]))))]
+        num[root] = low[root] = counter[0]
+        counter[0] += 1
+        while work:
+            v, parent, it = work[-1]
+            advanced = False
+            for w in it:
+                if w == parent:
+                    continue
+                if num[w] == -1:
+                    stack.append((v, w))
+                    num[w] = low[w] = counter[0]
+                    counter[0] += 1
+                    work.append((w, v, iter(list(bits(g.adj[w])))))
+                    advanced = True
+                    break
+                elif num[w] < num[v]:
+                    stack.append((v, w))
+                    low[v] = min(low[v], num[w])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                pv = work[-1][0]
+                low[pv] = min(low[pv], low[v])
+                if low[v] >= num[pv]:
+                    verts = set()
+                    while stack and stack[-1] != (pv, v):
+                        a, b = stack.pop()
+                        verts.update((a, b))
+                    if stack:
+                        a, b = stack.pop()
+                        verts.update((a, b))
+                    if verts:
+                        blocks.append(sorted(verts))
+    return blocks
 
 
 def analyze_connectivity(g: Graph) -> tuple[list[list[int]], set[int]]:
     """Connected components plus the set of cut vertices.
 
-    A vertex is a cut vertex iff deleting it splits its own component.
-    Brute-force per-vertex check; fine at this scale.
+    A vertex is a cut vertex iff it lies in more than one block.
     """
-    comps = connected_components(g)
+    seen: set[int] = set()
     cuts = set()
-    for comp in comps:
-        if len(comp) <= 2:
-            continue
-        mask = 0
-        for v in comp:
-            mask |= 1 << v
-        for v in comp:
-            if _component_count_within(g, mask & ~(1 << v)) > 1:
-                cuts.add(v)
-    return comps, cuts
+    for block in biconnected_blocks(g):
+        cuts.update(v for v in block if v in seen)
+        seen.update(block)
+    return connected_components(g), cuts
 
 
 def is_regular(g: Graph, degree: int) -> bool:

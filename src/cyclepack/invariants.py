@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graph import Graph, bits
+from .graph import Graph, biconnected_blocks, bits
 
 CanonicalForm = bytes
 
@@ -187,7 +187,7 @@ def is_planar(g: Graph) -> PlanarityResult:
     neither are settled by exhaustive subdivision search, which is also
     the sole authority whenever the fast path or its verifier balks.
     """
-    for block in _biconnected_blocks(g):
+    for block in biconnected_blocks(g):  # any Kuratowski subdivision lives in one block
         if len(block) < 5:
             continue
         bmask = 0
@@ -206,18 +206,16 @@ def is_planar(g: Graph) -> PlanarityResult:
     return PlanarityResult(True)
 
 
-def planarity_claim(g: Graph) -> bool | None:
-    """Unverified fast planarity answer, or None when unavailable.
+def planarity_claim(g: Graph) -> bool:
+    """Unverified fast planarity answer.
 
     For pruning candidate searches only: a False here never proves
     non-planarity and a True never proves planarity; any result that
     matters must go through is_planar, whose verdicts carry verified
     certificates in both directions.
     """
-    try:
-        import networkx as nx
-    except ImportError:  # pragma: no cover - present in the target env
-        return None
+    import networkx as nx  # on first use: it would triple `import cyclepack` time
+
     h = nx.Graph()
     h.add_nodes_from(range(g.n))
     h.add_edges_from(g.edges())
@@ -232,13 +230,11 @@ def _verified_rotation_system(g: Graph, block: list[int], bmask: int) -> bool:
     Trust chain: the external test only proposes an embedding; the
     verification below (every rotation is a cyclic order of the exact
     neighbourhood, faces traced from the rotation close up, and
-    v - e + f = 2) is what certifies planarity.  Any failure, including
-    the library being unavailable, falls back to exhaustive search.
+    v - e + f = 2) is what certifies planarity.  Any failure falls back
+    to exhaustive search.
     """
-    try:
-        import networkx as nx
-    except ImportError:  # pragma: no cover - present in the target env
-        return False
+    import networkx as nx
+
     sub = nx.Graph()
     sub.add_nodes_from(block)
     edges = [(u, v) for u in block for v in bits(g.adj[u] & bmask) if u < v]
@@ -269,57 +265,6 @@ def _verified_rotation_system(g: Graph, block: list[int], bmask: int) -> bool:
             darts.remove(cur)
             cur = succ[cur]
     return len(block) - len(edges) + faces == 2
-
-
-def _biconnected_blocks(g: Graph) -> list[list[int]]:
-    """Vertex sets of biconnected components (edge blocks) via iterative
-    DFS lowpoints; any Kuratowski subdivision lives inside one block."""
-    n = g.n
-    num = [-1] * n
-    low = [0] * n
-    blocks: list[list[int]] = []
-    stack: list[tuple[int, int]] = []  # edge stack
-    counter = [0]
-
-    for root in range(n):
-        if num[root] != -1:
-            continue
-        work = [(root, -1, iter(list(bits(g.adj[root]))))]
-        num[root] = low[root] = counter[0]
-        counter[0] += 1
-        while work:
-            v, parent, it = work[-1]
-            advanced = False
-            for w in it:
-                if w == parent:
-                    continue
-                if num[w] == -1:
-                    stack.append((v, w))
-                    num[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    work.append((w, v, iter(list(bits(g.adj[w])))))
-                    advanced = True
-                    break
-                elif num[w] < num[v]:
-                    stack.append((v, w))
-                    low[v] = min(low[v], num[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                pv = work[-1][0]
-                low[pv] = min(low[pv], low[v])
-                if low[v] >= num[pv]:
-                    verts = set()
-                    while stack and stack[-1] != (pv, v):
-                        a, b = stack.pop()
-                        verts.update((a, b))
-                    if stack:
-                        a, b = stack.pop()
-                        verts.update((a, b))
-                    if verts:
-                        blocks.append(sorted(verts))
-    return blocks
 
 
 def _find_k5_subdivision(g: Graph, block: list[int], bmask: int) -> PlanarityResult | None:

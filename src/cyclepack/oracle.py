@@ -25,7 +25,8 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field, replace
+from collections.abc import Callable, Mapping
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 
 from .embedding import CycleType, Embedding, make_sum, realize, recognize_two_factor
@@ -39,7 +40,7 @@ from .invariants import (
 )
 
 SOFT_VERTEX_LIMIT = 14
-SOFT_CENSUS_LIMIT = 13
+CENSUS_LIMIT = 14  # largest n_max a census runs without the override
 _ENV_OVERRIDE = "CYCLEPACK_ALLOW_LARGE"
 
 NOT_EMBEDDABLE_TYPES = {(3,), (4,), (3, 3)}
@@ -71,36 +72,15 @@ class SearchConstraints:
     def is_exhaustive(self) -> bool:
         return self.limit is None and self.class_limit is None
 
-    def has_filters(self) -> bool:
-        return not (
-            self.require_k4 is None
-            and self.require_bipartite is None
-            and self.require_planar is None
-            and self.require_connected is None
-            and self.require_cut_vertex is None
-        )
-
-    def matches(self, e: Embedding) -> bool:
-        if not self.has_filters():
-            return True
-        s = make_sum(e).sum
-        if self.require_connected is not None:
-            if (len(connected_components(s)) == 1) != self.require_connected:
-                return False
-        if self.require_cut_vertex is not None:
-            _, cuts = analyze_connectivity(s)
-            if bool(cuts) != self.require_cut_vertex:
-                return False
-        if self.require_bipartite is not None:
-            if is_bipartite(s).bipartite != self.require_bipartite:
-                return False
-        if self.require_k4 is not None:
-            if (contains_k4(s) is not None) != self.require_k4:
-                return False
-        if self.require_planar is not None:
-            if is_planar(s).planar != self.require_planar:
-                return False
-        return True
+    def declared(self) -> dict[str, bool]:
+        """The set require_* filters as {invariant name: wanted value};
+        require_cut_vertex maps to "cut-vertex"."""
+        out = {}
+        for f in fields(self):
+            want = getattr(self, f.name)
+            if f.name.startswith("require_") and want is not None:
+                out[f.name.removeprefix("require_").replace("_", "-")] = want
+        return out
 
 
 @dataclass
@@ -145,6 +125,7 @@ def enumerate_embeddings(
     permutation per image edge set.
     """
     constraints = constraints or SearchConstraints()
+    declared = constraints.declared()
     if constraints.is_exhaustive() and g.n > SOFT_VERTEX_LIMIT and not _large_allowed(allow_large):
         raise ValueError(
             f"exhaustive enumeration of n={g.n} exceeds the soft limit "
@@ -168,11 +149,12 @@ def enumerate_embeddings(
     def leaf() -> bool:
         out.leaves += 1
         e = Embedding(g, Permutation(tuple(image)))
-        if not constraints.matches(e):
+        s = make_sum(e).sum if declared or track else None
+        if declared and not satisfies(s, declared):
             return True
         out.visited += 1
         if track:
-            cf = canonical_form(make_sum(e).sum)
+            cf = canonical_form(s)
             if cf not in out.classes:
                 out.classes[cf] = e
                 if constraints.class_limit is not None and len(out.classes) >= constraints.class_limit:
@@ -298,23 +280,35 @@ def classify_by_oracle(
     )
 
 
+# Every invariant a sum can be filtered on, declared with or certified by,
+# cheapest first.  Each check names its function at call time, so a
+# wrapper installed over the module global sees every call.
+INVARIANTS: dict[str, Callable[[Graph], bool]] = {
+    "connected": lambda g: len(connected_components(g)) == 1,
+    "cut-vertex": lambda g: bool(analyze_connectivity(g)[1]),
+    "bipartite": lambda g: is_bipartite(g).bipartite,
+    "k4": lambda g: contains_k4(g) is not None,
+    "p4-neighborhood": lambda g: has_p4_neighborhood_vertex(g) is not None,
+    "planar": lambda g: is_planar(g).planar,
+}
+
+# certificate order; census certificate strings depend on it
 _INVARIANT_ORDER = ("k4", "bipartite", "planar", "cut-vertex", "p4-neighborhood")
 
 
-def invariant_value(g: Graph, name: str):
-    if name == "k4":
-        return contains_k4(g) is not None
-    if name == "bipartite":
-        return is_bipartite(g).bipartite
-    if name == "planar":
-        return is_planar(g).planar
-    if name == "cut-vertex":
-        return bool(analyze_connectivity(g)[1])
-    if name == "p4-neighborhood":
-        return has_p4_neighborhood_vertex(g) is not None
-    if name == "connected":
-        return len(connected_components(g)) == 1
-    raise ValueError(f"unknown invariant {name!r}")
+def invariant_value(g: Graph, name: str) -> bool:
+    if name not in INVARIANTS:
+        raise ValueError(f"unknown invariant {name!r}")
+    return INVARIANTS[name](g)
+
+
+def satisfies(g: Graph, declared: Mapping[str, bool]) -> bool:
+    """True iff g has every declared {invariant name: value}, checked in
+    INVARIANTS order so the cheap checks reject first."""
+    unknown = sorted(declared.keys() - INVARIANTS.keys())
+    if unknown:
+        raise ValueError(f"unknown invariant {unknown[0]!r}")
+    return all(invariant_value(g, name) == declared[name] for name in INVARIANTS if name in declared)
 
 
 def first_distinguishing_invariant(g1: Graph, g2: Graph) -> tuple[str, bool, bool] | None:
@@ -400,11 +394,16 @@ def _census_row(ct: CycleType) -> CensusRow:
 
 
 def census(n_max: int, *, jobs: int = 1, allow_large: bool = False) -> CensusReport:
-    """Theorem-vs-oracle comparison across every cycle type up to n_max vertices."""
-    if n_max > SOFT_CENSUS_LIMIT + 1 and not _large_allowed(allow_large):
-        raise ValueError(
-            f"census beyond n_max={SOFT_CENSUS_LIMIT + 1} needs {_ENV_OVERRIDE}=1"
-        )
+    """Theorem-vs-oracle comparison across every cycle type up to n_max vertices.
+
+    jobs worker processes share the rows; more than os.cpu_count() are
+    never started.
+    """
+    if n_max > CENSUS_LIMIT and not _large_allowed(allow_large):
+        raise ValueError(f"census beyond n_max={CENSUS_LIMIT} needs {_ENV_OVERRIDE}=1")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    jobs = min(jobs, os.cpu_count() or 1)
     types = census_types(n_max)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor

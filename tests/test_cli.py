@@ -52,6 +52,7 @@ def test_usage_errors_exit_1(capsys):
     assert run(capsys, "classify", "C2")[0] == 1
     assert run(capsys, "pack", "C3")[0] == 1
     assert run(capsys, "census", "2")[0] == 1
+    assert run(capsys, "census", "5", "--jobs", "0")[0] == 1
     assert run(capsys, "pack", "C9", "--strategy", "teleport")[0] == 1
     assert run(capsys, "frobnicate")[0] == 1
     assert run(capsys)[0] == 1
@@ -162,6 +163,9 @@ def test_export_respects_strategy(tmp_path, capsys):
     assert code == 0
     n, black, red = parse_dot(target.read_text())
     assert n == 12 and len(black) == 12 and len(red) == 12
+    code, _, _ = run(capsys, "export", "C3+C6", "--dot", str(target), "--strategy", "search")
+    assert code == 0
+    assert parse_dot(target.read_text())[0] == 9
 
 
 def test_fixtures_verify_all(capsys):

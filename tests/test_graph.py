@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 
+import networkx as nx
 import pytest
 
 from cyclepack.graph import (
@@ -137,6 +138,23 @@ def test_cut_vertices():
     # two triangles sharing vertex 2
     h = build_graph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
     assert analyze_connectivity(h)[1] == {2}
+
+
+def test_cut_vertices_match_networkx():
+    rng = random.Random(20230425)
+    saw_isolated = saw_bridge = False
+    for _ in range(600):
+        n = rng.randint(0, 12)
+        p = rng.choice((0.1, 0.2, 0.35, 0.6))
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        g = build_graph(n, edges)
+        ref = nx.Graph()
+        ref.add_nodes_from(range(n))
+        ref.add_edges_from(edges)
+        assert analyze_connectivity(g)[1] == set(nx.articulation_points(ref)), edges
+        saw_isolated |= any(a == 0 for a in g.adj)
+        saw_bridge |= any(True for _ in nx.bridges(ref))
+    assert saw_isolated and saw_bridge
 
 
 def test_is_regular():

@@ -8,8 +8,9 @@ import pytest
 
 from cyclepack.embedding import CycleType, make_sum, realize
 from cyclepack.graph import Permutation, apply_permutation, build_graph, connected_components
+from cyclepack import oracle
 from cyclepack.oracle import (
-    SOFT_CENSUS_LIMIT,
+    CENSUS_LIMIT,
     SOFT_VERTEX_LIMIT,
     Classification,
     SearchConstraints,
@@ -23,6 +24,7 @@ from cyclepack.oracle import (
     first_distinguishing_invariant,
     invariant_value,
     partitions_with_min_part,
+    satisfies,
     sum_classes,
 )
 
@@ -172,6 +174,34 @@ def test_census_jobs_parallel_matches_serial():
     assert [r.oracle for r in serial.rows] == [r.oracle for r in parallel.rows]
 
 
+def test_census_jobs_bounded(monkeypatch):
+    with pytest.raises(ValueError):
+        census(5, jobs=0)
+    with pytest.raises(ValueError):
+        census(5, jobs=-3)
+    started = []
+
+    class RecordingPool:
+        # stands in for ProcessPoolExecutor and runs the rows in-process
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(oracle.os, "cpu_count", lambda: 3)
+    rep = census(5, jobs=10**9)
+    assert started == [3]
+    assert rep.disagreements == 0 and len(rep.rows) == 3
+
+
 def test_soft_limits(monkeypatch):
     monkeypatch.delenv("CYCLEPACK_ALLOW_LARGE", raising=False)
     with pytest.raises(ValueError):
@@ -179,7 +209,7 @@ def test_soft_limits(monkeypatch):
     with pytest.raises(ValueError):
         classify_by_oracle(CycleType((SOFT_VERTEX_LIMIT + 1,)))
     with pytest.raises(ValueError):
-        census(SOFT_CENSUS_LIMIT + 2)
+        census(CENSUS_LIMIT + 1)
     monkeypatch.setenv("CYCLEPACK_ALLOW_LARGE", "1")
     out = enumerate_embeddings(
         realize(CycleType((SOFT_VERTEX_LIMIT + 1,))),
@@ -202,8 +232,15 @@ def test_invariant_value_names():
     assert invariant_value(g, "bipartite") is False
     assert invariant_value(g, "planar") is True
     assert invariant_value(g, "cut-vertex") is False
+    assert invariant_value(g, "p4-neighborhood") is False
+    fan = build_graph(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 3), (3, 4)])
+    assert invariant_value(fan, "p4-neighborhood") is True
     with pytest.raises(ValueError):
         invariant_value(g, "girth")
+    assert satisfies(g, {"planar": True, "connected": False})
+    assert not satisfies(g, {"planar": True, "bipartite": True})
+    with pytest.raises(ValueError):
+        satisfies(g, {"girth": True})
 
 
 def test_first_distinguishing_invariant():
