@@ -194,6 +194,6 @@ def make_sum(e: Embedding) -> PackingSum:
 
 def are_distinct(e1: Embedding, e2: Embedding) -> bool:
     """True iff the two packing sums are non-isomorphic."""
-    from .invariants import canonical_form
+    from .invariants import are_isomorphic
 
-    return canonical_form(make_sum(e1).sum) != canonical_form(make_sum(e2).sum)
+    return not are_isomorphic(make_sum(e1).sum, make_sum(e2).sum)

@@ -2,10 +2,13 @@
 tell packing sums apart.
 
 "Distinct" always means non-isomorphic, so the canonical form must be
-exact: iterated neighbourhood refinement plus full backtracking over the
-first non-singleton cell, returning the lexicographically least
-adjacency encoding over all explored labelings.  No orbit pruning; the
-graphs are small (n <= 24).
+exact.  It is an individualise-refine-prune search in the manner of
+McKay & Piperno, "Practical graph isomorphism, II" (2014): a partition
+seeded by degree and triangle count, equitable refinement, branching on
+the first non-singleton cell, and pruning by the automorphisms that
+equal leaf encodings prove.  The least adjacency encoding over the
+leaves is the form; pruning never changes it.  Highly symmetric graphs
+(edgeless, complete, unions of triangles) stay cheap up to n = 24.
 
 The distinguishers are the ones that show up in proofs about 4-regular
 packing sums: K4 subgraphs, bipartiteness (with odd-cycle witness),
@@ -28,7 +31,28 @@ _TRIANGLE_MAX = 18
 
 
 def canonical_form(g: Graph) -> CanonicalForm:
-    """Exact canonical form of g; equal bytes iff isomorphic graphs."""
+    """Exact canonical form of g; equal bytes iff isomorphic graphs.
+
+    The form is the least adjacency encoding over the leaves of an
+    individualise-refine search tree.  The root partition groups the
+    vertices by (degree, triangles through v); each node refines its
+    partition to an equitable one and branches on every vertex of the
+    first non-singleton cell.  Every step commutes with relabelling, so
+    an automorphism fixing a node's individualised prefix pointwise maps
+    that node's partition onto itself and one child's subtree onto
+    another's, leaf by leaf, with equal encodings.
+
+    Automorphisms come only from leaves: a leaf whose encoding equals the
+    first or the best leaf's proves that the map between the two vertex
+    orders is an automorphism.  They are applied only where they fix the
+    prefix pointwise.  A node explores one child per orbit of the
+    automorphisms found so far that fix its prefix.  A leaf equivalent to
+    an earlier one also ends its own branch: at the node where the two
+    paths split, the automorphism fixes the prefix and maps the earlier,
+    explored child onto the current one.  Either way a skipped subtree
+    only repeats encodings already met, so the minimum is the one the
+    unpruned search would find.
+    """
     if g.n > _CANON_MAX:
         raise ValueError(f"canonical_form limited to n <= {_CANON_MAX}, got {g.n}")
     n = g.n
@@ -64,8 +88,6 @@ def canonical_form(g: Graph) -> CanonicalForm:
             if not changed:
                 return cells
 
-    best: list[int | None] = [None]
-
     def encode(order: list[int]) -> int:
         acc = 0
         for i in range(n):
@@ -75,19 +97,83 @@ def canonical_form(g: Graph) -> CanonicalForm:
                 acc = (acc << 1) | (row >> order[j] & 1)
         return acc
 
-    def descend(cells: list[tuple[int, ...]]):
+    def find(parent: list[int], v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    def merge(parent: list[int], cell: tuple[int, ...], gamma: list[int]) -> None:
+        for v in cell:
+            a, b = find(parent, v), find(parent, gamma[v])
+            if a != b:
+                parent[max(a, b)] = min(a, b)
+
+    path: list[int] = []  # individualised vertices, root to current node
+    open_nodes: list[tuple[tuple[int, ...], list[int]]] = []  # (target cell, orbits) per level
+    autos: list[list[int]] = []
+    first: list = []  # [encoding, order, path] of the first leaf
+    best: list = []  # the same for the least leaf so far
+
+    def leaf(order: list[int]) -> int:
+        """Score a leaf; return the level to unwind to (n: carry on)."""
+        enc = encode(order)
+        if not first:
+            first[:] = best[:] = [enc, order, path[:]]
+            return n
+        if enc < best[0]:
+            best[:] = [enc, order, path[:]]
+            return n
+        for enc0, order0, path0 in (first, best):
+            if enc == enc0:
+                gamma = list(range(n))
+                for u, v in zip(order0, order):
+                    gamma[u] = v
+                autos.append(gamma)
+                split = 0
+                while path0[split] == path[split]:
+                    split += 1
+                for cell, parent in open_nodes[: split + 1]:
+                    merge(parent, cell, gamma)
+                return split
+        return n
+
+    def search(cells: list[tuple[int, ...]]) -> int:
+        """Explore one node; return the level to unwind to (n: carry on)."""
         cells = refine(cells)
         for idx, cell in enumerate(cells):
             if len(cell) > 1:
-                for v in cell:
-                    rest = tuple(w for w in cell if w != v)
-                    descend(cells[:idx] + [(v,), rest] + cells[idx + 1 :])
-                return
-        enc = encode([c[0] for c in cells])
-        if best[0] is None or enc < best[0]:
-            best[0] = enc
+                break
+        else:
+            return leaf([c[0] for c in cells])
+        level = len(path)
+        parent = list(range(n))
+        for gamma in autos:
+            if all(gamma[v] == v for v in path):
+                merge(parent, cell, gamma)
+        open_nodes.append((cell, parent))
+        explored: list[int] = []
+        back = n
+        for v in cell:
+            root = find(parent, v)
+            if any(find(parent, w) == root for w in explored):
+                continue
+            explored.append(v)
+            rest = tuple(w for w in cell if w != v)
+            path.append(v)
+            back = search(cells[:idx] + [(v,), rest] + cells[idx + 1 :])
+            path.pop()
+            if back < level:
+                break
+        open_nodes.pop()
+        return back if back < level else n
 
-    descend([tuple(range(n))])
+    by_key: dict[tuple[int, int], list[int]] = {}
+    for v in range(n):
+        row = adj[v]
+        triangles = sum((adj[u] & row).bit_count() for u in bits(row)) // 2
+        by_key.setdefault((row.bit_count(), triangles), []).append(v)
+    search([tuple(by_key[k]) for k in sorted(by_key)])
     nbits = n * (n - 1) // 2
     return bytes([n]) + best[0].to_bytes((nbits + 7) // 8 or 1, "big")
 
