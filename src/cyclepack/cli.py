@@ -6,13 +6,15 @@ oracle over all types up to a total), export (DOT drawing of a packing
 sum), fixtures (regen or verify the committed packings).
 
 Exit codes: 0 success, 1 usage or parse error (including non-embeddable
-inputs), 2 internal error or corrupted fixture, 3 census disagreement.
+inputs, unknown fixture names and output paths that cannot be written),
+2 internal error or corrupted fixture, 3 census disagreement.
 The soft vertex limits can be lifted with CYCLEPACK_ALLOW_LARGE=1.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 
@@ -74,6 +76,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _check_writable(path: str) -> None:
+    """Reject an output path that cannot be written, before any work is done."""
+    if os.path.isdir(path) or not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+        raise ValueError(f"cannot write {path}: not a file name in an existing directory")
+
+
 def _timed(doc: dict, t0: float, wanted: bool) -> dict:
     if wanted:
         doc["timings"] = {"seconds": round(time.perf_counter() - t0, 3)}
@@ -110,14 +118,7 @@ def _packing_for(ct: CycleType, args):
     if strategy == "rotation":
         if ct.cycle_count != 1:
             raise ValueError("strategy rotation needs a single cycle")
-        n = ct.lengths[0]
-        if args.shift is not None:
-            r = args.shift
-        elif n % 2 == 1:
-            r = 2
-        else:
-            r = constructions.choose_coprime_shift(n)
-        return constructions.rotate_embedding(n, r)
+        return constructions.rotate_embedding(ct.lengths[0], args.shift)
     if strategy == "k4":
         return constructions.k4_embedding(ct)
     if strategy == "triangles":
@@ -154,6 +155,8 @@ def _cmd_census(args) -> int:
     t0 = time.perf_counter()
     if args.n_max < 3:
         raise ValueError("n_max must be at least 3")
+    if args.out:
+        _check_writable(args.out)
     if args.n_max >= oracle.CENSUS_LIMIT:
         print(
             f"warning: census({args.n_max}) is expensive; largest types may take long",
@@ -192,6 +195,7 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_export(args) -> int:
+    _check_writable(args.dot)
     ct = parse_cycle_type(args.cycle_type)
     e = _packing_for(ct, args)
     ps = make_sum(e)
@@ -211,7 +215,11 @@ def _cmd_export(args) -> int:
 
 
 def _cmd_fixtures(args) -> int:
-    names = args.names or fixtures.fixture_names()
+    known = fixtures.fixture_names()
+    unknown = [name for name in args.names if name not in known]
+    if unknown:
+        raise ValueError(f"unknown fixture {unknown[0]!r} (have: {', '.join(known)})")
+    names = args.names or known
     results = []
     failures = 0
     for name in names:

@@ -30,34 +30,37 @@ from dataclasses import dataclass
 from .embedding import (
     CycleType,
     Embedding,
+    TraceStep,
     make_sum,
     realize,
     recognize_two_factor,
 )
+from .fixtures import load_fixture
 from .graph import (
     Graph,
     Permutation,
     bits,
     build_graph,
+    complement,
     connected_components,
+    disjoint_union,
 )
-from .invariants import are_isomorphic, max_triangle_subset, planarity_claim
+from .invariants import (
+    are_isomorphic,
+    canonical_form,
+    is_bipartite,
+    max_triangle_subset,
+    planarity_claim,
+)
 from .oracle import (
     NOT_EMBEDDABLE_TYPES,
     UNIQUE_TYPES,
     SearchConstraints,
+    enumerate_embeddings,
     find_embedding,
     invariant_value,
     satisfies,
 )
-
-
-@dataclass(frozen=True)
-class TraceStep:
-    """One replayable construction step."""
-
-    op: str
-    params: dict
 
 
 def _step(op: str, **params) -> TraceStep:
@@ -67,10 +70,16 @@ def _step(op: str, **params) -> TraceStep:
 # ---------------------------------------------------------------- rotations
 
 
-def rotate_embedding(n: int, r: int) -> Embedding:
-    """Embed the n-cycle by i -> r*i mod n; image edges are the chords {i, i+r}."""
+def rotate_embedding(n: int, r: int | None = None) -> Embedding:
+    """Embed the n-cycle by i -> r*i mod n; image edges are the chords {i, i+r}.
+
+    The default shift, 2 for odd n and choose_coprime_shift(n) for even n,
+    gives a K4-free sum.
+    """
     if n < 3:
         raise ValueError(f"cycle length must be >= 3, got {n}")
+    if r is None:
+        r = 2 if n % 2 else choose_coprime_shift(n)
     if not 2 <= r <= n - 2:
         raise ValueError(f"shift must satisfy 2 <= r <= n-2, got r={r}")
     if math.gcd(r, n) != 1:
@@ -123,8 +132,6 @@ def _embeddability_exception_name(g: Graph) -> str | None:
     if n >= 8:
         star = _star(n - 3)
         tri = realize(CycleType((3,)))
-        from .graph import disjoint_union
-
         candidates.append((f"K1,{n - 4}+K3", disjoint_union(star, tri)))
     fixed = {
         4: [("K1+K3", [(1, 2), (2, 3), (1, 3)])],
@@ -333,8 +340,6 @@ def bxy_packing(ct: CycleType, variant: str) -> Embedding:
             image[4 * j + i] = w
     trace = (_step("crossed-blocks", cycle_type=list(ct.lengths), variant=variant),)
     e = Embedding(realize(ct), Permutation(tuple(image)), trace)
-    from .invariants import is_bipartite
-
     assert is_bipartite(make_sum(e).sum).bipartite == (variant == "bipartite")
     return e
 
@@ -353,9 +358,7 @@ def unique_packing(ct: CycleType) -> Embedding:
         trace = (_step("explicit-unique", cycle_type=list(ct.lengths)),)
         return Embedding(realize(ct), perm, trace)
     if ct.lengths in {(5,), (6,)}:
-        e = find_embedding(realize(ct), reduced=True)
-        assert e is not None
-        return e.with_trace((_step("search", cycle_type=list(ct.lengths), reduced=True),))
+        return search_packing(ct)
     if ct.lengths in {(3, 3, 3), (3, 3, 3, 3)}:
         return triangle_list_packing(ct)
     raise ValueError(f"{ct} is not one of the uniquely embeddable types")
@@ -447,17 +450,15 @@ def pack_some(ct: CycleType) -> Embedding:
     lengths = ct.lengths
     if lengths in NOT_EMBEDDABLE_TYPES:
         raise ValueError(f"{ct} is not embeddable")
-    if lengths in _EXPLICIT_UNIQUE or lengths in {(5,), (6,), (3, 3, 3), (3, 3, 3, 3)}:
+    if lengths in UNIQUE_TYPES:
         return unique_packing(ct)
     if lengths == (3, 3, 3, 3, 3):
         return triangle_list_packing(ct, "A")
     if len(lengths) == 1:
-        n = lengths[0]
-        if n % 2 == 1:
-            return rotate_embedding(n, 2)
-        r = choose_coprime_shift(n)
-        e = rotate_embedding(n, r)
-        return e.with_trace((_step("coprime-shift", cycle_type=[n]),))
+        e = rotate_embedding(lengths[0])
+        if lengths[0] % 2:
+            return e
+        return e.with_trace((_step("coprime-shift", cycle_type=list(lengths)),))
     if lengths in _BXY_CYCLES:
         return bxy_packing(ct, "bipartite")
     if lengths == (3, 3, 6):
@@ -468,10 +469,7 @@ def pack_some(ct: CycleType) -> Embedding:
         if _packable(part1) and _packable(part2):
             return divide_and_pack(ct, (part1, part2))
     # leftover small exceptional types: first hit of the reduced search
-    e = find_embedding(realize(ct), reduced=True)
-    if e is None:  # pragma: no cover - cannot happen for embeddable types
-        raise AssertionError(f"no embedding found for embeddable type {ct}")
-    return e.with_trace((_step("search", cycle_type=list(lengths), reduced=True),))
+    return search_packing(ct)
 
 
 # --------------------------------------------------------------- ladders
@@ -560,8 +558,6 @@ def ladder_extend(template: str, l: int) -> Embedding:
         raise ValueError(f"template {template} needs l >= {spec.min_l}, got {l}")
     if (template, l) in _LADDER_CACHE:
         return _LADDER_CACHE[(template, l)]
-
-    from .fixtures import load_fixture
 
     base = load_fixture(template)
     ct = CycleType(spec.base_type)
@@ -677,18 +673,45 @@ class DistinctPair:
     certificate: str
 
 
-def _invariant_pair(ct, first, second, key, label) -> DistinctPair:
+# the certificate label of each invariant that separates a pair
+_INVARIANT_LABELS = {
+    "k4": "sum contains K4",
+    "planar": "sum is planar",
+    "bipartite": "sum is bipartite",
+    "cut-vertex": "sum has a cut vertex",
+    "p4-neighborhood": "some neighbourhood induces a 4-path",
+}
+
+# types whose two packings are both fixtures: (first, second, separating invariant)
+_FIXTURE_PAIRS: dict[tuple[int, ...], tuple[str, str, str]] = {
+    (3, 3, 4): ("c3c3c4-k4", "c3c3c4-k4free", "k4"),
+    (3, 3, 5): ("c3c3c5-p4", "c3c3c5-nop4", "p4-neighborhood"),
+    (3, 4, 4): ("c3c4c4-k4", "c3c4c4-k4free", "k4"),
+    (3, 3, 3, 4): ("c3c3c3c4-cut", "c3c3c3c4-2conn", "cut-vertex"),
+}
+
+# ladder families by fixture name prefix: the base length of the last
+# cycle for an even and for an odd target length
+_LADDER_BASES = {"c3c": (6, 7), "c4c": (6, 5), "c3c3c": (8, 7)}
+
+
+def _invariant_pair(ct, first, second, key) -> DistinctPair:
     v1 = invariant_value(make_sum(first).sum, key)
     v2 = invariant_value(make_sum(second).sum, key)
     assert v1 != v2, f"{key} fails to separate the two packings of {ct}"
-    return DistinctPair(ct, first, second, key, f"{label}: {v1} vs {v2}")
+    return DistinctPair(ct, first, second, key, f"{_INVARIANT_LABELS[key]}: {v1} vs {v2}")
 
 
-def _second_class_search(first: Embedding) -> Embedding:
+def _fixture_or_ladder(prefix: str, variant: str, p: int) -> Embedding:
+    """The family's fixture whose last cycle has the base length of p's
+    parity, ladder-extended to length p when p is longer."""
+    base = _LADDER_BASES[prefix][p % 2]
+    name = f"{prefix}{base}-{variant}"
+    return load_fixture(name) if p == base else ladder_extend(name, (p - base) // 2)
+
+
+def _second_class_search(ct: CycleType, first: Embedding) -> Embedding:
     """First leaf of the reduced search whose sum is not isomorphic to first's."""
-    from .invariants import canonical_form
-    from .oracle import enumerate_embeddings as enum
-
     want_not = canonical_form(make_sum(first).sum)
     hit: list[Embedding] = []
 
@@ -698,9 +721,8 @@ def _second_class_search(first: Embedding) -> Embedding:
             return False
         return True
 
-    enum(first.graph, visit=visit, reduced=True)
+    enumerate_embeddings(first.graph, visit=visit, reduced=True)
     assert hit, "no second sum class found"
-    ct = recognize_two_factor(first.graph)
     step = _step(
         "search-second-class",
         cycle_type=list(ct.lengths),
@@ -717,101 +739,35 @@ def two_distinct_embeddings(ct: CycleType) -> DistinctPair:
         raise ValueError(f"{ct} admits no packing at all")
     if lengths in UNIQUE_TYPES:
         raise ValueError(f"{ct} has exactly one packing sum")
-    from .fixtures import load_fixture
-
-    k = ct.cycle_count
-    if k == 1:
-        n = lengths[0]
-        if n == 7:
-            first = rotate_embedding(7, 2)
-            second = _second_class_search(first)
-            from .graph import complement
-
-            kinds = []
-            for e in (first, second):
-                rest = recognize_two_factor(complement(make_sum(e).sum))
-                kinds.append(rest.render() if rest else "none")
-            assert kinds[0] != kinds[1]
-            return DistinctPair(
-                ct, first, second, "complement-class",
-                f"complement of the sum: {kinds[0]} vs {kinds[1]}",
-            )
-        first = k4_embedding(ct)
-        second = pack_some(ct)  # rotation; K4-free chords
-        return _invariant_pair(ct, first, second, "k4", "sum contains K4")
-    if k == 2:
-        n1, n2 = lengths
-        if lengths == (4, 4):
-            return _invariant_pair(
-                ct, bxy_packing(ct, "nonbipartite"), bxy_packing(ct, "bipartite"),
-                "bipartite", "sum is bipartite",
-            )
-        if n1 == 3:
-            if n2 in (6, 7):
-                first = load_fixture(f"c3c{n2}-planar")
-                second = load_fixture(f"c3c{n2}-nonplanar")
-            else:
-                stem = "c3c6" if n2 % 2 == 0 else "c3c7"
-                step = (n2 - 6) // 2 if n2 % 2 == 0 else (n2 - 7) // 2
-                first = ladder_extend(f"{stem}-planar", step)
-                second = ladder_extend(f"{stem}-nonplanar", step)
-            return _invariant_pair(ct, first, second, "planar", "sum is planar")
-        if n1 == 4:
-            if n2 in (5, 6):
-                first = load_fixture(f"c4c{n2}-planar")
-                second = load_fixture(f"c4c{n2}-nonplanar")
-                return _invariant_pair(ct, first, second, "planar", "sum is planar")
-            if n2 == 7:
-                return _invariant_pair(
-                    ct, k4_embedding(ct), load_fixture("c4c7-k4free"),
-                    "k4", "sum contains K4",
-                )
-            stem = "c4c6" if n2 % 2 == 0 else "c4c5"
-            step = (n2 - 6) // 2 if n2 % 2 == 0 else (n2 - 5) // 2
-            first = ladder_extend(f"{stem}-planar", step)
-            second = ladder_extend(f"{stem}-nonplanar", step)
-            return _invariant_pair(ct, first, second, "planar", "sum is planar")
-        first = divide_and_pack(ct)
-        second = merge_until_connected(first)
-        return _components_pair(ct, first, second)
-    if lengths == (3, 3, 4):
-        return _invariant_pair(
-            ct, load_fixture("c3c3c4-k4"), load_fixture("c3c3c4-k4free"),
-            "k4", "sum contains K4",
+    if lengths == (7,):
+        first = rotate_embedding(7, 2)
+        second = _second_class_search(ct, first)
+        kinds = []
+        for e in (first, second):
+            rest = recognize_two_factor(complement(make_sum(e).sum))
+            kinds.append(rest.render() if rest else "none")
+        assert kinds[0] != kinds[1]
+        return DistinctPair(
+            ct, first, second, "complement-class",
+            f"complement of the sum: {kinds[0]} vs {kinds[1]}",
         )
-    if lengths == (3, 3, 5):
-        return _invariant_pair(
-            ct, load_fixture("c3c3c5-p4"), load_fixture("c3c3c5-nop4"),
-            "p4-neighborhood", "some neighbourhood induces a 4-path",
-        )
-    if lengths == (3, 3, 6):
-        first = cross_packing_33_6()
-        return _components_pair(ct, first, merge_until_connected(first))
-    if k == 3 and lengths[0] == 3 and lengths[1] == 3:
-        p = lengths[2]
-        first = k4_embedding(ct)
-        if p in (7, 8):
-            second = load_fixture(f"c3c3c{p}-k4free")
-        else:
-            stem = "c3c3c7" if p % 2 == 1 else "c3c3c8"
-            step = (p - 7) // 2 if p % 2 == 1 else (p - 8) // 2
-            second = ladder_extend(f"{stem}-k4free", step)
-        return _invariant_pair(ct, first, second, "k4", "sum contains K4")
-    if lengths == (3, 4, 4):
-        return _invariant_pair(
-            ct, load_fixture("c3c4c4-k4"), load_fixture("c3c4c4-k4free"),
-            "k4", "sum contains K4",
-        )
-    if lengths == (4, 4, 4):
-        return _invariant_pair(
-            ct, bxy_packing(ct, "nonbipartite"), bxy_packing(ct, "bipartite"),
-            "bipartite", "sum is bipartite",
-        )
-    if lengths == (3, 3, 3, 4):
-        return _invariant_pair(
-            ct, load_fixture("c3c3c3c4-cut"), load_fixture("c3c3c3c4-2conn"),
-            "cut-vertex", "sum has a cut vertex",
-        )
+    if len(lengths) == 1:  # a K4 closure against the K4-free rotation
+        return _invariant_pair(ct, k4_embedding(ct), pack_some(ct), "k4")
+    if lengths in _FIXTURE_PAIRS:
+        first_name, second_name, key = _FIXTURE_PAIRS[lengths]
+        return _invariant_pair(ct, load_fixture(first_name), load_fixture(second_name), key)
+    if lengths in _BXY_CYCLES:
+        first = bxy_packing(ct, "nonbipartite")
+        return _invariant_pair(ct, first, bxy_packing(ct, "bipartite"), "bipartite")
+    if lengths == (4, 7):
+        return _invariant_pair(ct, k4_embedding(ct), load_fixture("c4c7-k4free"), "k4")
+    p = lengths[-1]
+    if len(lengths) == 2 and lengths[0] in (3, 4):
+        prefix = f"c{lengths[0]}c"
+        first = _fixture_or_ladder(prefix, "planar", p)
+        return _invariant_pair(ct, first, _fixture_or_ladder(prefix, "nonplanar", p), "planar")
+    if len(lengths) == 3 and lengths[:2] == (3, 3) and p >= 7:
+        return _invariant_pair(ct, k4_embedding(ct), _fixture_or_ladder("c3c3c", "k4free", p), "k4")
     if lengths == (3, 3, 3, 3, 3):
         first = triangle_list_packing(ct, "A")
         second = triangle_list_packing(ct, "B")
@@ -822,12 +778,9 @@ def two_distinct_embeddings(ct: CycleType) -> DistinctPair:
             ct, first, second, "triangle-max",
             f"most triangles among nine vertices: {t1} vs {t2}",
         )
-    first = divide_and_pack(ct)
+    # every other type: a disconnected packing against its merge
+    first = cross_packing_33_6() if lengths == (3, 3, 6) else divide_and_pack(ct)
     second = merge_until_connected(first)
-    return _components_pair(ct, first, second)
-
-
-def _components_pair(ct, first, second) -> DistinctPair:
     c1 = len(connected_components(make_sum(first).sum))
     c2 = len(connected_components(make_sum(second).sum))
     assert c1 > 1 and c2 == 1
@@ -852,8 +805,6 @@ def search_packing(ct: CycleType, **require: bool) -> Embedding:
 def replay_trace(ct: CycleType, trace) -> Embedding:
     """Rebuild an embedding from its construction trace and check that it
     is a packing of the expected type."""
-    from .fixtures import load_fixture
-
     e: Embedding | None = None
     for st in trace:
         op, p = st.op, st.params
@@ -868,8 +819,7 @@ def replay_trace(ct: CycleType, trace) -> Embedding:
         if op == "rotate":
             e = rotate_embedding(p["cycle_type"][0], p["r"])
         elif op == "coprime-shift":
-            n = p["cycle_type"][0]
-            e = rotate_embedding(n, choose_coprime_shift(n))
+            e = rotate_embedding(p["cycle_type"][0])
         elif op == "k4-extension":
             e = k4_embedding(sub, p["cycle_index"], p["offset"])
         elif op == "triangle-list":
@@ -886,7 +836,7 @@ def replay_trace(ct: CycleType, trace) -> Embedding:
             e = search_packing(sub, **{k: v for k, v in p.items() if k.startswith("require_")})
         elif op == "search-second-class":
             ref = Embedding(realize(sub), Permutation(tuple(p["distinct_from"])))
-            e = _second_class_search(ref)
+            e = _second_class_search(sub, ref)
         elif op == "fixture":
             e = load_fixture(p["name"])
         elif op == "ladder":

@@ -15,6 +15,7 @@ import re
 from dataclasses import dataclass, field
 
 from .graph import Graph, Permutation, apply_permutation, build_graph, edge_sum
+from .invariants import are_isomorphic
 
 _PART = re.compile(r"^[Cc]?(\d+)$")
 
@@ -136,6 +137,14 @@ class EmbeddingViolation:
 
 
 @dataclass(frozen=True)
+class TraceStep:
+    """One replayable construction step."""
+
+    op: str
+    params: dict
+
+
+@dataclass(frozen=True)
 class Embedding:
     """A validated self-embedding: perm maps every edge of graph to a non-edge."""
 
@@ -194,6 +203,4 @@ def make_sum(e: Embedding) -> PackingSum:
 
 def are_distinct(e1: Embedding, e2: Embedding) -> bool:
     """True iff the two packing sums are non-isomorphic."""
-    from .invariants import are_isomorphic
-
     return not are_isomorphic(make_sum(e1).sum, make_sum(e2).sum)

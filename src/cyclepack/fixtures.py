@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .embedding import CycleType, Embedding, make_sum, realize
+from .embedding import CycleType, Embedding, TraceStep, make_sum, realize
 from .graph import Permutation
 from .oracle import enumerate_embeddings, satisfies
 
@@ -94,13 +94,7 @@ def search_fixture(name: str) -> Embedding:
     enumerate_embeddings(g, visit=visit, reduced=True)
     if not hit:
         raise FixtureError(f"no packing of {spec.cycle_type} satisfies {spec.invariants}")
-    return hit[0].with_trace((_fixture_step(name),))
-
-
-def _fixture_step(name: str):
-    from .constructions import TraceStep
-
-    return TraceStep("fixture", {"name": name})
+    return hit[0].with_trace((TraceStep("fixture", {"name": name}),))
 
 
 def serialize_fixture(name: str, e: Embedding) -> str:
@@ -148,7 +142,8 @@ def load_fixture(name: str) -> Embedding:
             raise FixtureError(f"fixture {name}: field {key!r} is {record.get(key)!r}, expected {want!r}")
     try:
         perm = Permutation(tuple(record["perm"]))
-        e = Embedding(realize(CycleType(spec.cycle_type)), perm, (_fixture_step(name),))
+        trace = (TraceStep("fixture", {"name": name}),)
+        e = Embedding(realize(CycleType(spec.cycle_type)), perm, trace)
     except (KeyError, TypeError, ValueError) as exc:
         raise FixtureError(f"fixture {name}: stored permutation is not a valid packing: {exc}") from exc
     if record.get("invariants") != dict(sorted(spec.invariants.items())):

@@ -62,10 +62,8 @@ class SearchConstraints:
     """Leaf filters (tri-state: True/False/None=don't care) and stop rules."""
 
     require_k4: bool | None = None
-    require_bipartite: bool | None = None
     require_planar: bool | None = None
     require_connected: bool | None = None
-    require_cut_vertex: bool | None = None
     limit: int | None = None
     class_limit: int | None = None
 
@@ -73,13 +71,12 @@ class SearchConstraints:
         return self.limit is None and self.class_limit is None
 
     def declared(self) -> dict[str, bool]:
-        """The set require_* filters as {invariant name: wanted value};
-        require_cut_vertex maps to "cut-vertex"."""
+        """The set require_* filters as {invariant name: wanted value}."""
         out = {}
         for f in fields(self):
             want = getattr(self, f.name)
             if f.name.startswith("require_") and want is not None:
-                out[f.name.removeprefix("require_").replace("_", "-")] = want
+                out[f.name.removeprefix("require_")] = want
         return out
 
 
@@ -251,18 +248,16 @@ def classify_by_theorem(ct: CycleType) -> Classification:
     return Classification(ct, Verdict.MULTIPLE)
 
 
-def classify_by_oracle(
-    ct: CycleType, *, class_limit: int = 2, allow_large: bool = False
-) -> Classification:
-    """Verdict by exhaustive (reduced) search, stopping once class_limit
-    distinct sum classes are witnessed."""
+def classify_by_oracle(ct: CycleType, *, allow_large: bool = False) -> Classification:
+    """Verdict by exhaustive (reduced) search, stopping once two distinct
+    sum classes are witnessed."""
     if ct.total > SOFT_VERTEX_LIMIT and not _large_allowed(allow_large):
         raise ValueError(
             f"oracle classification of {ct} (n={ct.total}) exceeds the soft limit; "
             f"set {_ENV_OVERRIDE}=1 to override"
         )
     g = realize(ct)
-    out = sum_classes(g, class_limit=class_limit, allow_large=True)
+    out = sum_classes(g, class_limit=2, allow_large=True)
     count = len(out.classes)
     if count == 0:
         verdict = Verdict.NOT_EMBEDDABLE

@@ -12,8 +12,14 @@ from __future__ import annotations
 import json
 import re
 
-from .constructions import TraceStep
-from .embedding import Embedding, PackingSum, parse_cycle_type, realize
+from .embedding import (
+    Embedding,
+    PackingSum,
+    TraceStep,
+    parse_cycle_type,
+    realize,
+    recognize_two_factor,
+)
 from .graph import Permutation
 
 SCHEMA_VERSION = "1"
@@ -28,8 +34,6 @@ def document(command: str, **payload) -> dict:
 
 def embedding_record(e: Embedding) -> dict:
     """JSON-ready record of one validated embedding."""
-    from .embedding import recognize_two_factor
-
     ct = recognize_two_factor(e.graph)
     return {
         "cycle_type": ct.render(),

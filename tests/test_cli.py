@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 import cyclepack.cli as cli
 import cyclepack.fixtures as fixtures
 import cyclepack.oracle as oracle
@@ -48,7 +50,7 @@ def test_classify_timings_are_opt_in(capsys):
     assert "timings" in json.loads(timed)
 
 
-def test_usage_errors_exit_1(capsys):
+def test_usage_errors_exit_1(tmp_path, capsys, monkeypatch):
     assert run(capsys, "classify", "C2")[0] == 1
     assert run(capsys, "pack", "C3")[0] == 1
     assert run(capsys, "census", "2")[0] == 1
@@ -56,6 +58,21 @@ def test_usage_errors_exit_1(capsys):
     assert run(capsys, "pack", "C9", "--strategy", "teleport")[0] == 1
     assert run(capsys, "frobnicate")[0] == 1
     assert run(capsys)[0] == 1
+    # a mistyped fixture name is rejected before any fixture is touched
+    monkeypatch.setattr(cli.fixtures, "regen_fixture", lambda name: pytest.fail("regen ran"))
+    for action in ("verify", "regen"):
+        code, out, err = run(capsys, "fixtures", action, "c3c6-planar", "no-such")
+        assert (code, out) == (1, "") and "no-such" in err
+    # an unwritable output path is named, and the census refuses it before the first row
+    monkeypatch.setattr(cli.oracle, "census", lambda *a, **k: pytest.fail("census ran"))
+    missing = str(tmp_path / "missing" / "x.json")
+    code, _, err = run(capsys, "census", "8", "--out", missing)
+    assert code == 1 and missing in err
+    missing = str(tmp_path / "missing" / "x.dot")
+    code, _, err = run(capsys, "export", "C5", "--dot", missing)
+    assert code == 1 and missing in err
+    code, _, err = run(capsys, "export", "C5", "--dot", str(tmp_path))
+    assert code == 1 and str(tmp_path) in err
 
 
 def test_help_exits_0(capsys):

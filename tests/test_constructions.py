@@ -67,6 +67,7 @@ def test_choose_coprime_shift_values_and_bounds():
         assert r == want
         assert 3 <= r <= n // 2 - 1
         assert math.gcd(r, n) == 1
+        assert rotate_embedding(n).trace[0].params["r"] == want  # the default shift
     for bad in (6, 7, 9):
         with pytest.raises(ValueError):
             choose_coprime_shift(bad)
@@ -76,6 +77,7 @@ def test_shift2_sums_have_no_k4():
     for n in (7, 9, 11, 13):
         e = rotate_embedding(n, 2)
         assert contains_k4(sum_graph(e)) is None
+        assert rotate_embedding(n).perm == e.perm  # the default shift
 
 
 # -------------------------------------------------------------- K4 closure
@@ -237,8 +239,20 @@ def test_pack_some_and_replay_all_types_to_11():
         pack_some(CycleType((3, 3)))
 
 
+# types whose pairs come from ladder extensions: (invariant, certificate)
+LADDERED_PAIRS = {
+    (3, 8): ("planar", "sum is planar: True vs False"),
+    (3, 9): ("planar", "sum is planar: True vs False"),
+    (4, 8): ("planar", "sum is planar: True vs False"),
+    (4, 9): ("planar", "sum is planar: True vs False"),
+    (4, 10): ("planar", "sum is planar: True vs False"),
+    (3, 3, 9): ("k4", "sum contains K4: True vs False"),
+    (3, 3, 10): ("k4", "sum contains K4: True vs False"),
+}
+
+
 def test_two_distinct_embeddings_to_10():
-    for ct in embeddable_types(10):
+    for ct in embeddable_types(10) + [CycleType(t) for t in LADDERED_PAIRS]:
         if ct.lengths in UNIQUE_TYPES:
             with pytest.raises(ValueError):
                 two_distinct_embeddings(ct)
@@ -252,6 +266,13 @@ def test_two_distinct_embeddings_to_10():
         for e in (pair.first, pair.second):
             rebuilt = replay_trace(ct, e.trace)
             assert rebuilt.perm == e.perm, (ct, pair.invariant)
+        if ct.lengths in LADDERED_PAIRS:
+            assert (pair.invariant, pair.certificate) == LADDERED_PAIRS[ct.lengths]
+            # both planar sides are ladders; the K4 side is a K4 closure
+            laddered = (pair.first, pair.second) if pair.invariant == "planar" else (pair.second,)
+            for e in laddered:
+                assert e.trace[0].op == "ladder", ct
+                assert e.trace[0].params["cycle_type"] == list(ct.lengths)
 
 
 def test_embedding_from_red_edges_rejects_wrong_image():
