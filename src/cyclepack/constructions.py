@@ -595,8 +595,11 @@ def ladder_extend(template: str, l: int) -> Embedding:
         if e is None:
             continue
         s = make_sum(e).sum
-        # cheap unverified pre-filter; the accepted placement is re-proved
-        # with certificates just below
+        # unverified pre-filter; the accepted placement is re-proved by
+        # satisfies just below.  It pays its way on planar=True templates:
+        # the placements it rejects are non-planar sums, and on those with
+        # no K5 subdivision is_planar exhausts the whole K5 sweep and then
+        # searches K3,3 branch sets, 2-4 s per sum at 15-16 vertices
         if "planar" in spec.invariants and planarity_claim(s) != spec.invariants["planar"]:
             continue
         if not satisfies(s, spec.invariants):

@@ -272,6 +272,15 @@ def is_planar(g: Graph) -> PlanarityResult:
     after an independent face-count verification here.  Blocks passing
     neither are settled by exhaustive subdivision search, which is also
     the sole authority whenever the fast path or its verifier balks.
+
+    The search tries K5 branch sets, then K3,3 ones, in lexicographic
+    order, and packs their paths by backtracking.  Port counting prunes
+    it: a branch vertex with fewer usable neighbours (unused free
+    vertices, or partners it is adjacent to and still has to be linked
+    to) than partners left is a dead end.  That is a necessary condition
+    for a packing, so only subtrees without one are cut, the search order
+    of the rest is unchanged, and the witness is the first one the
+    unpruned search would return.
     """
     for block in biconnected_blocks(g):  # any Kuratowski subdivision lives in one block
         if len(block) < 5:
@@ -382,19 +391,43 @@ def _pack_disjoint_paths(g, bmask: int, branch, pairs) -> list[tuple[int, ...]] 
 
     Branch vertices may appear only as endpoints; internal vertices are
     used by at most one path.  Exhaustive backtracking, shortest
-    continuations first.
+    continuations first, pruned by port counting: the paths are
+    internally disjoint, so each pair still to be linked needs its own
+    first edge at each of its ends, into an unused free vertex or straight
+    into the partner.  A branch with some branch vertex short of such
+    usable neighbours is dead.  Every branch vertex is checked once before
+    any path is placed, and the ones adjacent to a free vertex y each time
+    a path takes y; the pair whose path is being built counts as linked,
+    so the check covers the pairs after it.  Pruning cuts only subtrees
+    without a packing and keeps the order of the rest, so the first
+    packing found is the one the unpruned search finds.
     """
     branch_mask = 0
     for v in branch:
         branch_mask |= 1 << v
     free0 = bmask & ~branch_mask
     adj = g.adj
+    need = dict.fromkeys(branch, 0)  # partners each branch vertex is still to be linked to
+    for a, b in pairs:
+        need[a] |= 1 << b
+        need[b] |= 1 << a
     result: list[tuple[int, ...]] = []
+
+    def starved(vs: int, usable: int) -> bool:
+        """Some branch vertex in the mask vs has fewer usable neighbours
+        than partners left to link."""
+        for v in bits(vs):
+            want = need[v]
+            if (adj[v] & (usable | want)).bit_count() < want.bit_count():
+                return True
+        return False
 
     def place(i: int, free: int) -> bool:
         if i == len(pairs):
             return True
         a, b = pairs[i]
+        need[a] ^= 1 << b
+        need[b] ^= 1 << a
 
         def extend(path: list[int], used: int) -> bool:
             x = path[-1]
@@ -404,17 +437,24 @@ def _pack_disjoint_paths(g, bmask: int, branch, pairs) -> list[tuple[int, ...]] 
                     return True
                 result.pop()
             for y in bits(adj[x] & free & ~used):
+                taken = used | (1 << y)
+                if starved(adj[y] & branch_mask, free & ~taken):
+                    continue
                 path.append(y)
-                if extend(path, used | (1 << y)):
+                if extend(path, taken):
                     return True
                 path.pop()
             return False
 
-        return extend([a], 0)
+        if extend([a], 0):
+            return True
+        need[a] ^= 1 << b
+        need[b] ^= 1 << a
+        return False
 
-    if place(0, free0):
-        return result
-    return None
+    if starved(branch_mask, free0) or not place(0, free0):
+        return None
+    return result
 
 
 def has_p4_neighborhood_vertex(g: Graph) -> int | None:

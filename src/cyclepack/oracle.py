@@ -363,6 +363,14 @@ def census_types(n_max: int) -> list[CycleType]:
 
 
 def _census_row(ct: CycleType) -> CensusRow:
+    """One census row; any failure inside it names the cycle type."""
+    try:
+        return _compute_census_row(ct)
+    except Exception as exc:
+        raise RuntimeError(f"census row {ct.render()} failed: {exc!r}") from exc
+
+
+def _compute_census_row(ct: CycleType) -> CensusRow:
     start = time.perf_counter()
     theo = classify_by_theorem(ct)
     orac = classify_by_oracle(ct, allow_large=True)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 
 import pytest
+from test_oracle import fail_row
 
 import cyclepack.cli as cli
 import cyclepack.fixtures as fixtures
@@ -162,6 +163,24 @@ def test_census_disagreement_exits_3(capsys, monkeypatch):
     code, out, _ = run(capsys, "census", "3")
     assert code == 3
     assert json.loads(out)["disagreements"] == ["C3"]
+
+
+def test_census_row_failure_exits_2_naming_the_type(capsys, monkeypatch):
+    # a ValueError deep inside a row is an internal error, not a usage error
+    fail_row(monkeypatch, "C5")
+    code, out, err = run(capsys, "census", "5")
+    assert code == 2
+    assert out == ""
+    assert "census row C5 failed" in err
+
+
+def test_census_warns_only_beyond_the_limit(capsys, monkeypatch):
+    small = oracle.census(3)
+    monkeypatch.setattr(cli.oracle, "census", lambda n_max, jobs=1: small)
+    _, _, err = run(capsys, "census", str(oracle.CENSUS_LIMIT))
+    assert "warning" not in err
+    _, _, err = run(capsys, "census", str(oracle.CENSUS_LIMIT + 1))
+    assert "is expensive" in err
 
 
 def test_export_writes_dot(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import multiprocessing
 from itertools import permutations
 
 import pytest
@@ -200,6 +201,37 @@ def test_census_jobs_bounded(monkeypatch):
     rep = census(5, jobs=10**9)
     assert started == [3]
     assert rep.disagreements == 0 and len(rep.rows) == 3
+
+
+def fail_row(monkeypatch, rendered: str) -> None:
+    """Make the census row of one cycle type raise a ValueError deep inside."""
+    real = oracle.classify_by_oracle
+
+    def classify(ct, **kwargs):
+        if ct.render() == rendered:
+            raise ValueError("deliberate failure")
+        return real(ct, **kwargs)
+
+    monkeypatch.setattr(oracle, "classify_by_oracle", classify)
+
+
+def test_census_row_failure_names_the_type(monkeypatch):
+    fail_row(monkeypatch, "C5")
+    with pytest.raises(RuntimeError, match=r"census row C5 failed") as info:
+        census(5)
+    assert isinstance(info.value.__cause__, ValueError)
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the patched row reaches the workers only through fork",
+)
+def test_census_row_failure_names_the_type_with_jobs(monkeypatch):
+    fail_row(monkeypatch, "C5")
+    with pytest.raises(RuntimeError, match=r"census row C5 failed") as info:
+        census(5, jobs=2)
+    # from a worker the cause is its formatted traceback, not the ValueError
+    assert "deliberate failure" in str(info.value.__cause__)
 
 
 def test_soft_limits(monkeypatch):
