@@ -74,8 +74,8 @@ def check_against_references(g: Graph) -> None:
 
 
 @st.composite
-def gnp_graphs(draw, max_n: int = 9) -> Graph:
-    n = draw(st.integers(5, max_n))
+def gnp_graphs(draw) -> Graph:
+    n = draw(st.integers(5, 9))
     p = draw(st.sampled_from([0.4, 0.55, 0.7]))
     seed = draw(st.integers(0, 2**32 - 1))
     return build_graph(n, nx.gnp_random_graph(n, p, seed=seed).edges())
