@@ -6,7 +6,9 @@ Every function returns a validated Embedding carrying a replayable
 construction trace.  The constructions are verified by the checker and,
 where they claim a structural invariant (K4 present/absent, planar or
 not, bipartite or not, cut vertex or not), that claim is asserted here
-rather than trusted.
+rather than trusted.  two_distinct_embeddings separates its pair by one
+invariant of oracle.INVARIANTS, the registry of invariant names,
+certificate labels and checks, and certifies it as "<label>: v1 vs v2".
 
 Routes:
   * rotations of a single n-cycle by a shift r coprime to n (K4-free
@@ -18,8 +20,8 @@ Routes:
   * crossed complete-bipartite blocks for 2 and 4-cycle unions;
   * independent packing of a split (disconnected sum) plus the
     neighbour-swap merge that reconnects two sum components;
-  * ladder extensions that lengthen one cycle of a frozen base packing
-    by 2l while preserving its declared invariant.
+  * ladder extensions that lengthen the longest cycle of a committed
+    fixture by 2l while keeping every invariant its FixtureSpec declares.
 """
 
 from __future__ import annotations
@@ -31,28 +33,23 @@ from .embedding import (
     CycleType,
     Embedding,
     TraceStep,
+    _cycle_list,
     make_sum,
     realize,
     recognize_two_factor,
 )
-from .fixtures import load_fixture
+from .fixtures import FIXTURE_SPECS, load_fixture
 from .graph import (
     Graph,
     Permutation,
     bits,
     build_graph,
-    complement,
     connected_components,
     disjoint_union,
 )
-from .invariants import (
-    are_isomorphic,
-    canonical_form,
-    is_bipartite,
-    max_triangle_subset,
-    planarity_claim,
-)
+from .invariants import are_isomorphic, canonical_form, is_bipartite, proven_planar
 from .oracle import (
+    INVARIANTS,
     NOT_EMBEDDABLE_TYPES,
     UNIQUE_TYPES,
     SearchConstraints,
@@ -475,27 +472,6 @@ def pack_some(ct: CycleType) -> Embedding:
 # --------------------------------------------------------------- ladders
 
 
-def _cycle_list(g: Graph) -> list[list[int]]:
-    """Cycles of a 2-regular graph, each from its least vertex toward its
-    smaller neighbour, sorted by (length, least vertex)."""
-    seen = [False] * g.n
-    cycles: list[list[int]] = []
-    for v0 in range(g.n):
-        if seen[v0]:
-            continue
-        cyc = [v0]
-        seen[v0] = True
-        prev, cur = v0, min(bits(g.adj[v0]))
-        while cur != v0:
-            cyc.append(cur)
-            seen[cur] = True
-            nxt = [u for u in bits(g.adj[cur]) if u != prev]
-            prev, cur = cur, nxt[0]
-        cycles.append(cyc)
-    cycles.sort(key=lambda c: (len(c), c[0]))
-    return cycles
-
-
 def embedding_from_red_edges(ct: CycleType, red: Graph, trace: tuple = ()) -> Embedding:
     """Build a packing of realize(ct) whose image edge set is exactly red,
     by mapping black cycles onto image cycles of equal length in order."""
@@ -510,57 +486,33 @@ def embedding_from_red_edges(ct: CycleType, red: Graph, trace: tuple = ()) -> Em
     return Embedding(realize(ct), Permutation(tuple(image)), trace)
 
 
-@dataclass(frozen=True)
-class LadderTemplate:
-    """A frozen base packing plus the invariant its extensions must keep."""
-
-    name: str
-    base_type: tuple[int, ...]
-    invariants: dict[str, bool]
-    min_l: int = 1
-
-
-LADDER_TEMPLATES: dict[str, LadderTemplate] = {
-    t.name: t
-    for t in (
-        LadderTemplate("c3c6-planar", (3, 6), {"planar": True}),
-        LadderTemplate("c3c6-nonplanar", (3, 6), {"planar": False}),
-        LadderTemplate("c3c7-planar", (3, 7), {"planar": True}),
-        LadderTemplate("c3c7-nonplanar", (3, 7), {"planar": False}),
-        LadderTemplate("c4c5-planar", (4, 5), {"planar": True}, min_l=2),
-        LadderTemplate("c4c5-nonplanar", (4, 5), {"planar": False}),
-        LadderTemplate("c4c6-planar", (4, 6), {"planar": True}),
-        LadderTemplate("c4c6-nonplanar", (4, 6), {"planar": False}),
-        LadderTemplate("c3c3c7-k4free", (3, 3, 7), {"k4": False}),
-        LadderTemplate("c3c3c8-k4free", (3, 3, 8), {"k4": False}),
-    )
-}
-
 _LADDER_CACHE: dict[tuple[str, int], Embedding] = {}
 
 
 def ladder_extend(template: str, l: int) -> Embedding:
-    """Lengthen the longest cycle of a template's base packing by 2l while
-    keeping the template's declared invariant.
+    """Lengthen the longest cycle of a fixture's packing by 2l while
+    keeping every invariant the fixture declares.
 
-    Two black edges of the longest cycle are subdivided l times each; the
-    image edge at one subdivision endpoint is rerouted through the new
-    vertices as an alternating ladder path, which lengthens the matching
-    image cycle by 2l as well.  The concrete attachment is found by a
-    deterministic search over the finitely many placements; a placement
-    is accepted only if the result validates, is again a packing of the
-    extended type onto itself, and satisfies the declared invariant.
+    template names the base fixture; its FixtureSpec gives the base type
+    and the declared invariants.  Two black edges of the longest cycle
+    are subdivided l times each; the image edge at one subdivision
+    endpoint is rerouted through the new vertices as an alternating
+    ladder path, which lengthens the matching image cycle by 2l as well.
+    The concrete attachment is found by a deterministic search over the
+    finitely many placements; a placement is accepted only if the result
+    validates, is again a packing of the extended type onto itself, and
+    satisfies the declared invariants.  ValueError when none does.
     """
-    if template not in LADDER_TEMPLATES:
-        raise ValueError(f"unknown ladder template {template!r} (have: {sorted(LADDER_TEMPLATES)})")
-    spec = LADDER_TEMPLATES[template]
-    if l < spec.min_l:
-        raise ValueError(f"template {template} needs l >= {spec.min_l}, got {l}")
+    spec = next((f for f in FIXTURE_SPECS if f.name == template), None)
+    if spec is None:
+        raise ValueError(f"unknown ladder base {template!r}; a ladder extends a fixture")
+    if l < 1:
+        raise ValueError(f"ladder depth must be at least 1, got {l}")
     if (template, l) in _LADDER_CACHE:
         return _LADDER_CACHE[(template, l)]
 
     base = load_fixture(template)
-    ct = CycleType(spec.base_type)
+    ct = CycleType(spec.cycle_type)
     n = ct.total
     start, m = ct.blocks()[-1]  # longest cycle is extended
     cyc = [start + j for j in range(m)]
@@ -595,19 +547,20 @@ def ladder_extend(template: str, l: int) -> Embedding:
         if e is None:
             continue
         s = make_sum(e).sum
-        # unverified pre-filter; the accepted placement is re-proved by
-        # satisfies just below.  It pays its way on planar=True templates:
-        # the placements it rejects are non-planar sums, and on those with
-        # no K5 subdivision is_planar exhausts the whole K5 sweep and then
-        # searches K3,3 branch sets, 2-4 s per sum at 15-16 vertices
-        if "planar" in spec.invariants and planarity_claim(s) != spec.invariants["planar"]:
+        # one-sided pre-filter: proven_planar proves planarity by verified
+        # rotation systems alone, so for planar=True a sum it cannot prove
+        # is skipped unsearched.  Those are non-planar sums, and on the ones
+        # with no K5 subdivision is_planar exhausts the K5 sweep and then
+        # searches K3,3 branch sets, 2-4 s per sum at 15-16 vertices.  The
+        # accepted placement is re-proved by satisfies just below
+        if "planar" in spec.invariants and proven_planar(s) != spec.invariants["planar"]:
             continue
         if not satisfies(s, spec.invariants):
             continue
         e = e.with_trace((_step("ladder", cycle_type=list(new_lengths), template=template, l=l),))
         _LADDER_CACHE[(template, l)] = e
         return e
-    raise RuntimeError(f"no placement extends {template} by l={l} with {spec.invariants}")
+    raise ValueError(f"no placement extends {template} by l={l} with {spec.invariants}")
 
 
 def _ladder_candidate(base_black, base_red, new_ct, new_n, e1, e2, q, a, b, jump):
@@ -676,15 +629,6 @@ class DistinctPair:
     certificate: str
 
 
-# the certificate label of each invariant that separates a pair
-_INVARIANT_LABELS = {
-    "k4": "sum contains K4",
-    "planar": "sum is planar",
-    "bipartite": "sum is bipartite",
-    "cut-vertex": "sum has a cut vertex",
-    "p4-neighborhood": "some neighbourhood induces a 4-path",
-}
-
 # types whose two packings are both fixtures: (first, second, separating invariant)
 _FIXTURE_PAIRS: dict[tuple[int, ...], tuple[str, str, str]] = {
     (3, 3, 4): ("c3c3c4-k4", "c3c3c4-k4free", "k4"),
@@ -699,10 +643,12 @@ _LADDER_BASES = {"c3c": (6, 7), "c4c": (6, 5), "c3c3c": (8, 7)}
 
 
 def _invariant_pair(ct, first, second, key) -> DistinctPair:
+    """The pair separated by the registry invariant key, certified as
+    "<label>: v1 vs v2"."""
     v1 = invariant_value(make_sum(first).sum, key)
     v2 = invariant_value(make_sum(second).sum, key)
     assert v1 != v2, f"{key} fails to separate the two packings of {ct}"
-    return DistinctPair(ct, first, second, key, f"{_INVARIANT_LABELS[key]}: {v1} vs {v2}")
+    return DistinctPair(ct, first, second, key, f"{INVARIANTS[key].label}: {v1} vs {v2}")
 
 
 def _fixture_or_ladder(prefix: str, variant: str, p: int) -> Embedding:
@@ -744,16 +690,7 @@ def two_distinct_embeddings(ct: CycleType) -> DistinctPair:
         raise ValueError(f"{ct} has exactly one packing sum")
     if lengths == (7,):
         first = rotate_embedding(7, 2)
-        second = _second_class_search(ct, first)
-        kinds = []
-        for e in (first, second):
-            rest = recognize_two_factor(complement(make_sum(e).sum))
-            kinds.append(rest.render() if rest else "none")
-        assert kinds[0] != kinds[1]
-        return DistinctPair(
-            ct, first, second, "complement-class",
-            f"complement of the sum: {kinds[0]} vs {kinds[1]}",
-        )
+        return _invariant_pair(ct, first, _second_class_search(ct, first), "complement-class")
     if len(lengths) == 1:  # a K4 closure against the K4-free rotation
         return _invariant_pair(ct, k4_embedding(ct), pack_some(ct), "k4")
     if lengths in _FIXTURE_PAIRS:
@@ -773,21 +710,10 @@ def two_distinct_embeddings(ct: CycleType) -> DistinctPair:
         return _invariant_pair(ct, k4_embedding(ct), _fixture_or_ladder("c3c3c", "k4free", p), "k4")
     if lengths == (3, 3, 3, 3, 3):
         first = triangle_list_packing(ct, "A")
-        second = triangle_list_packing(ct, "B")
-        t1 = max_triangle_subset(make_sum(first).sum, 9)[0]
-        t2 = max_triangle_subset(make_sum(second).sum, 9)[0]
-        assert t1 <= 4 < t2, f"triangle counts {t1}, {t2} fail to separate the variants"
-        return DistinctPair(
-            ct, first, second, "triangle-max",
-            f"most triangles among nine vertices: {t1} vs {t2}",
-        )
+        return _invariant_pair(ct, first, triangle_list_packing(ct, "B"), "triangle-max")
     # every other type: a disconnected packing against its merge
     first = cross_packing_33_6() if lengths == (3, 3, 6) else divide_and_pack(ct)
-    second = merge_until_connected(first)
-    c1 = len(connected_components(make_sum(first).sum))
-    c2 = len(connected_components(make_sum(second).sum))
-    assert c1 > 1 and c2 == 1
-    return DistinctPair(ct, first, second, "connectivity", f"sum components: {c1} vs {c2}")
+    return _invariant_pair(ct, first, merge_until_connected(first), "connectivity")
 
 
 # ------------------------------------------------------------------ search

@@ -101,28 +101,31 @@ def realize(ct: CycleType) -> Graph:
     return build_graph(ct.total, edges)
 
 
+def _cycle_list(g: Graph) -> list[list[int]]:
+    """Cycles of a 2-regular graph, each from its least vertex toward its
+    smaller neighbour, sorted by (length, least vertex)."""
+    seen = 0
+    cycles: list[list[int]] = []
+    for v0 in range(g.n):
+        if seen >> v0 & 1:
+            continue
+        cyc = [v0]
+        prev, cur = v0, (g.adj[v0] & -g.adj[v0]).bit_length() - 1
+        while cur != v0:
+            cyc.append(cur)
+            prev, cur = cur, (g.adj[cur] & ~(1 << prev)).bit_length() - 1
+        for v in cyc:
+            seen |= 1 << v
+        cycles.append(cyc)
+    cycles.sort(key=lambda c: (len(c), c[0]))
+    return cycles
+
+
 def recognize_two_factor(g: Graph) -> CycleType | None:
     """CycleType of g if g is 2-regular (a disjoint union of cycles), else None."""
     if g.n == 0 or any(a.bit_count() != 2 for a in g.adj):
         return None
-    seen = 0
-    lengths = []
-    for s in range(g.n):
-        if seen >> s & 1:
-            continue
-        # walk the cycle through s
-        length = 0
-        prev, cur = -1, s
-        while True:
-            seen |= 1 << cur
-            length += 1
-            nbrs = [w for w in (g.adj[cur].bit_length() - 1, (g.adj[cur] & -g.adj[cur]).bit_length() - 1)]
-            nxt = nbrs[0] if nbrs[0] != prev else nbrs[1]
-            prev, cur = cur, nxt
-            if cur == s:
-                break
-        lengths.append(length)
-    return CycleType(tuple(sorted(lengths)))
+    return CycleType(tuple(len(c) for c in _cycle_list(g)))
 
 
 @dataclass(frozen=True)

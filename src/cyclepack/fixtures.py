@@ -4,9 +4,12 @@ Each fixture is a small packing found once by constrained search and
 committed as JSON next to this module.  A fixture pins a permutation
 together with the invariant values that make it useful as one half of a
 distinguishable pair (planar vs not, K4 vs K4-free, cut vertex vs
-2-connected, neighbourhood-path vs not).  Loading revalidates the
-embedding and re-asserts every declared invariant, so a corrupted or
-stale file fails loudly instead of silently weakening a proof.
+2-connected, neighbourhood-path vs not); the declared names are yes/no
+entries of oracle.INVARIANTS.  Loading revalidates the embedding and
+re-asserts every declared invariant, so a corrupted or stale file fails
+loudly instead of silently weakening a proof.  The fixtures are also the
+ladder bases: constructions.ladder_extend reads a base's cycle type and
+declared invariants from its FixtureSpec.
 """
 
 from __future__ import annotations

@@ -282,17 +282,7 @@ def is_planar(g: Graph) -> PlanarityResult:
     of the rest is unchanged, and the witness is the first one the
     unpruned search would return.
     """
-    for block in biconnected_blocks(g):  # any Kuratowski subdivision lives in one block
-        if len(block) < 5:
-            continue
-        bmask = 0
-        for v in block:
-            bmask |= 1 << v
-        e_block = sum((g.adj[v] & bmask).bit_count() for v in block) // 2
-        if e_block <= len(block) + 2:
-            continue
-        if _verified_rotation_system(g, block, bmask):
-            continue
+    for block, bmask in _unsettled_blocks(g):
         witness = _find_k5_subdivision(g, block, bmask)
         if witness is None and len(block) >= 6:
             witness = _find_k33_subdivision(g, block, bmask)
@@ -301,21 +291,32 @@ def is_planar(g: Graph) -> PlanarityResult:
     return PlanarityResult(True)
 
 
-def planarity_claim(g: Graph) -> bool:
-    """Unverified fast planarity answer.
+def proven_planar(g: Graph) -> bool:
+    """True iff every block of g is planar by its size or by a verified
+    rotation system, the proofs is_planar takes before any search.
 
-    For pruning candidate searches only: a False here never proves
-    non-planarity and a True never proves planarity; any result that
-    matters must go through is_planar, whose verdicts carry verified
-    certificates in both directions.
+    One-sided: True proves planarity, False proves nothing.  A cheap
+    filter for candidate searches; a verdict that matters must go
+    through is_planar.
     """
-    import networkx as nx  # on first use: it would triple `import cyclepack` time
+    return next(_unsettled_blocks(g), None) is None
 
-    h = nx.Graph()
-    h.add_nodes_from(range(g.n))
-    h.add_edges_from(g.edges())
-    ok, _ = nx.check_planarity(h, counterexample=False)
-    return ok
+
+def _unsettled_blocks(g: Graph):
+    """(block, mask) of each biconnected block, in order, that neither
+    its cyclomatic number nor a verified rotation system proves planar;
+    any Kuratowski subdivision lives in one of these."""
+    for block in biconnected_blocks(g):
+        if len(block) < 5:
+            continue
+        bmask = 0
+        for v in block:
+            bmask |= 1 << v
+        e_block = sum((g.adj[v] & bmask).bit_count() for v in block) // 2
+        if e_block <= len(block) + 2:
+            continue
+        if not _verified_rotation_system(g, block, bmask):
+            yield block, bmask
 
 
 def _verified_rotation_system(g: Graph, block: list[int], bmask: int) -> bool:

@@ -30,13 +30,14 @@ from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 
 from .embedding import CycleType, Embedding, make_sum, realize, recognize_two_factor
-from .graph import Graph, Permutation, bits, connected_components, analyze_connectivity
+from .graph import Graph, Permutation, analyze_connectivity, bits, complement, connected_components
 from .invariants import (
     canonical_form,
     contains_k4,
     has_p4_neighborhood_vertex,
     is_bipartite,
     is_planar,
+    max_triangle_subset,
 )
 
 SOFT_VERTEX_LIMIT = 14
@@ -275,34 +276,59 @@ def classify_by_oracle(ct: CycleType, *, allow_large: bool = False) -> Classific
     )
 
 
-# Every invariant a sum can be filtered on, declared with or certified by,
-# cheapest first.  Each check names its function at call time, so a
-# wrapper installed over the module global sees every call.
-INVARIANTS: dict[str, Callable[[Graph], bool]] = {
-    "connected": lambda g: len(connected_components(g)) == 1,
-    "cut-vertex": lambda g: bool(analyze_connectivity(g)[1]),
-    "bipartite": lambda g: is_bipartite(g).bipartite,
-    "k4": lambda g: contains_k4(g) is not None,
-    "p4-neighborhood": lambda g: has_p4_neighborhood_vertex(g) is not None,
-    "planar": lambda g: is_planar(g).planar,
+@dataclass(frozen=True)
+class Invariant:
+    """One isomorphism invariant of a sum: the label its certificates
+    print and its check.  A valued invariant (a count or a type, not a
+    yes/no answer) can separate a pair but cannot be declared."""
+
+    label: str
+    check: Callable[[Graph], object]
+    valued: bool = False
+
+
+# The one registry of sum invariants: every name a sum can be filtered
+# on, declared with or certified by.  The yes/no ones come cheapest
+# first; satisfies checks in this order.  Each check names its function
+# at call time, so a wrapper installed over the module global sees every
+# call.
+INVARIANTS: dict[str, Invariant] = {
+    "connected": Invariant("sum is connected", lambda g: len(connected_components(g)) == 1),
+    "cut-vertex": Invariant("sum has a cut vertex", lambda g: bool(analyze_connectivity(g)[1])),
+    "bipartite": Invariant("sum is bipartite", lambda g: is_bipartite(g).bipartite),
+    "k4": Invariant("sum contains K4", lambda g: contains_k4(g) is not None),
+    "p4-neighborhood": Invariant(
+        "some neighbourhood induces a 4-path", lambda g: has_p4_neighborhood_vertex(g) is not None
+    ),
+    "planar": Invariant("sum is planar", lambda g: is_planar(g).planar),
+    "connectivity": Invariant("sum components", lambda g: len(connected_components(g)), valued=True),
+    "complement-class": Invariant(  # the complement's 2-factor type, or "none"
+        "complement of the sum", lambda g: str(recognize_two_factor(complement(g)) or "none"), valued=True
+    ),
+    "triangle-max": Invariant(
+        "most triangles among nine vertices", lambda g: max_triangle_subset(g, 9)[0], valued=True
+    ),
 }
 
 # certificate order; census certificate strings depend on it
 _INVARIANT_ORDER = ("k4", "bipartite", "planar", "cut-vertex", "p4-neighborhood")
 
 
-def invariant_value(g: Graph, name: str) -> bool:
+def invariant_value(g: Graph, name: str) -> object:
     if name not in INVARIANTS:
         raise ValueError(f"unknown invariant {name!r}")
-    return INVARIANTS[name](g)
+    return INVARIANTS[name].check(g)
 
 
 def satisfies(g: Graph, declared: Mapping[str, bool]) -> bool:
     """True iff g has every declared {invariant name: value}, checked in
-    INVARIANTS order so the cheap checks reject first."""
-    unknown = sorted(declared.keys() - INVARIANTS.keys())
-    if unknown:
-        raise ValueError(f"unknown invariant {unknown[0]!r}")
+    INVARIANTS order so the cheap checks reject first.  Only yes/no
+    invariants can be declared."""
+    for name in declared:
+        if name not in INVARIANTS:
+            raise ValueError(f"unknown invariant {name!r}")
+        if INVARIANTS[name].valued:
+            raise ValueError(f"invariant {name!r} is valued, not yes/no; it cannot be declared")
     return all(invariant_value(g, name) == declared[name] for name in INVARIANTS if name in declared)
 
 
@@ -400,7 +426,8 @@ def census(n_max: int, *, jobs: int = 1, allow_large: bool = False) -> CensusRep
     """Theorem-vs-oracle comparison across every cycle type up to n_max vertices.
 
     jobs worker processes share the rows; more than os.cpu_count() are
-    never started.
+    never started.  A worker that dies outright fails the census naming
+    the first row whose result was lost.
     """
     if n_max > CENSUS_LIMIT and not _large_allowed(allow_large):
         raise ValueError(f"census beyond n_max={CENSUS_LIMIT} needs {_ENV_OVERRIDE}=1")
@@ -410,9 +437,16 @@ def census(n_max: int, *, jobs: int = 1, allow_large: bool = False) -> CensusRep
     types = census_types(n_max)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
 
+        done: list[CensusRow] = []
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = tuple(pool.map(_census_row, types))
+            try:
+                done.extend(pool.map(_census_row, types))
+            except BrokenProcessPool as exc:
+                lost = types[len(done)].render()
+                raise RuntimeError(f"census row {lost} failed: a worker process died") from exc
+        rows = tuple(done)
     else:
         rows = tuple(_census_row(ct) for ct in types)
     disagreements = sum(1 for r in rows if not r.agree)

@@ -43,10 +43,14 @@ def embedding_record(e: Embedding) -> dict:
 
 
 def load_embedding_record(rec: dict) -> Embedding:
-    """Rebuild and re-validate an embedding from its stored record."""
-    ct = parse_cycle_type(rec["cycle_type"])
-    perm = Permutation(tuple(rec["perm"]))
-    trace = tuple(TraceStep(s["op"], s["params"]) for s in rec.get("trace", []))
+    """Rebuild and re-validate an embedding from its stored record; a
+    malformed record raises ValueError."""
+    try:
+        ct = parse_cycle_type(rec["cycle_type"])
+        perm = Permutation(tuple(rec["perm"]))
+        trace = tuple(TraceStep(s["op"], s["params"]) for s in rec.get("trace", []))
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise ValueError(f"malformed embedding record: {exc!r}") from exc
     return Embedding(realize(ct), perm, trace)
 
 
@@ -57,9 +61,14 @@ def serialize(doc: dict) -> str:
 def load_document(text: str) -> dict:
     """Parse a result document, re-validating every embedded permutation."""
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError(f"a result document is a JSON object, got {type(doc).__name__}")
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {doc.get('schema_version')!r}")
-    for rec in doc.get("embeddings", ()):
+    embeddings = doc.get("embeddings", [])
+    if not isinstance(embeddings, list):
+        raise ValueError("embeddings must be a list of embedding records")
+    for rec in embeddings:
         load_embedding_record(rec)
     return doc
 

@@ -11,8 +11,9 @@ import math
 import random
 import time
 
+import pytest
+
 from cyclepack.constructions import (
-    LADDER_TEMPLATES,
     choose_coprime_shift,
     k4_embedding,
     ladder_extend,
@@ -27,6 +28,7 @@ from cyclepack.embedding import (
     realize,
     recognize_two_factor,
 )
+from cyclepack.fixtures import FIXTURE_SPECS
 from cyclepack.graph import complement, connected_components
 from cyclepack.invariants import contains_k4, max_triangle_subset
 from cyclepack.oracle import (
@@ -236,21 +238,41 @@ def test_criterion_09_distinguisher_reproductions():
     assert time.perf_counter() - t < 300.0
 
 
+# the fixtures that two_distinct_embeddings lengthens by ladder extension
+LADDER_BASES = (
+    "c3c3c7-k4free",
+    "c3c3c8-k4free",
+    "c3c6-nonplanar",
+    "c3c6-planar",
+    "c3c7-nonplanar",
+    "c3c7-planar",
+    "c4c5-nonplanar",
+    "c4c5-planar",
+    "c4c6-nonplanar",
+    "c4c6-planar",
+)
+
+
 def test_criterion_10_ladder_extensions_validate():
-    """Every ladder template extends at its three smallest depths with all
-    declared invariants intact.  Depths are 1..3 except c4c5-planar,
+    """Every ladder base fixture extends at its three smallest depths with
+    all declared invariants intact.  Depths are 1..3 except c4c5-planar,
     which starts at 2 because C4+C7 admits no planar packing at all
-    (exhaustively checked), so its depths are 2..4."""
-    for name, template in sorted(LADDER_TEMPLATES.items()):
-        for l in range(template.min_l, template.min_l + 3):
+    (exhaustively checked), so its depths are 2..4 and depth 1 finds no
+    placement."""
+    specs = {spec.name: spec for spec in FIXTURE_SPECS}
+    for name in LADDER_BASES:
+        spec = specs[name]
+        least = 2 if name == "c4c5-planar" else 1
+        for l in range(least, least + 3):
             e = ladder_extend(name, l)
-            lengths = list(template.base_type)
+            lengths = list(spec.cycle_type)
             lengths[-1] += 2 * l
             assert recognize_two_factor(e.graph) == CycleType(tuple(lengths)), (name, l)
             s = sum_graph(e)
-            for key, want in sorted(template.invariants.items()):
+            for key, want in sorted(spec.invariants.items()):
                 assert invariant_value(s, key) == want, (name, l, key)
-        assert template.min_l == (2 if name == "c4c5-planar" else 1)
+    with pytest.raises(ValueError):
+        ladder_extend("c4c5-planar", 1)
 
 
 def test_criterion_11_pruned_search_matches_naive_filtering():

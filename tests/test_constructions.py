@@ -7,7 +7,6 @@ import math
 import pytest
 
 from cyclepack.constructions import (
-    LADDER_TEMPLATES,
     choose_coprime_shift,
     cross_packing_33_6,
     divide_and_pack,
@@ -24,6 +23,7 @@ from cyclepack.constructions import (
     unique_packing,
 )
 from cyclepack.embedding import CycleType, make_sum, realize, recognize_two_factor
+from cyclepack.fixtures import FIXTURE_SPECS
 from cyclepack.graph import connected_components
 from cyclepack.invariants import contains_k4, is_bipartite
 from cyclepack.oracle import (
@@ -189,8 +189,8 @@ def test_divide_and_pack_needs_an_embeddable_split():
 
 
 def test_ladder_extend_basics():
-    t = LADDER_TEMPLATES["c3c6-planar"]
-    base_len = max(t.base_type)
+    spec = next(f for f in FIXTURE_SPECS if f.name == "c3c6-planar")
+    base_len = max(spec.cycle_type)
     for l in (1, 2):
         e = ladder_extend("c3c6-planar", l)
         want = CycleType((3, base_len + 2 * l))
@@ -200,12 +200,11 @@ def test_ladder_extend_basics():
         assert e.trace[0].op == "ladder"
 
 
-def test_ladder_extend_respects_min_l():
-    t = LADDER_TEMPLATES["c4c5-planar"]
-    assert t.min_l == 2
-    with pytest.raises(ValueError):
+def test_ladder_extend_rejects_what_it_cannot_extend():
+    # C4+C7 has no planar packing, so no placement keeps c4c5-planar planar
+    with pytest.raises(ValueError, match="no placement"):
         ladder_extend("c4c5-planar", 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown ladder base"):
         ladder_extend("no-such-template", 1)
     with pytest.raises(ValueError):
         ladder_extend("c3c6-planar", 0)

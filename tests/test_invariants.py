@@ -17,7 +17,7 @@ from cyclepack.invariants import (
     is_bipartite,
     is_planar,
     max_triangle_subset,
-    planarity_claim,
+    proven_planar,
 )
 
 
@@ -225,9 +225,22 @@ def test_planarity_matches_edge_bound_on_random_graphs():
             assert g.edge_count <= 3 * g.n - 6
 
 
-def test_planarity_claim_is_hint_only():
-    assert planarity_claim(complete(5)) is False
-    assert planarity_claim(complete(4)) is True
+def test_proven_planar_is_one_sided():
+    import networkx as nx
+
+    assert proven_planar(complete(5)) is False
+    assert proven_planar(complete(4)) is True
+    rng = random.Random(505)
+    for _ in range(80):
+        g = random_graph(rng, rng.randrange(5, 11), p=0.45)
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(g.edges())
+        proven = proven_planar(g)
+        # networkx's proposal always verifies, so the proof misses no planar graph
+        assert proven == nx.check_planarity(h)[0]
+        if proven:
+            assert is_planar(g).planar
 
 
 def test_planar_sums_from_packings():

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import multiprocessing
+import os
+import time
+from concurrent.futures.process import BrokenProcessPool
 from itertools import permutations
 
 import pytest
@@ -232,6 +235,26 @@ def test_census_row_failure_names_the_type_with_jobs(monkeypatch):
         census(5, jobs=2)
     # from a worker the cause is its formatted traceback, not the ValueError
     assert "deliberate failure" in str(info.value.__cause__)
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork" or (os.cpu_count() or 1) < 2,
+    reason="needs two CPUs, and the patched row reaches the workers only through fork",
+)
+def test_census_names_the_row_lost_to_a_dead_worker(monkeypatch):
+    real = oracle._compute_census_row
+    parent = os.getpid()
+
+    def compute(ct):
+        if ct.render() == "C5" and os.getpid() != parent:
+            time.sleep(0.2)  # let the other rows report first
+            os._exit(3)
+        return real(ct)
+
+    monkeypatch.setattr(oracle, "_compute_census_row", compute)
+    with pytest.raises(RuntimeError, match=r"census row C5 failed: a worker process died") as info:
+        census(5, jobs=2)
+    assert isinstance(info.value.__cause__, BrokenProcessPool)
 
 
 def test_soft_limits(monkeypatch):

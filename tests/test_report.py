@@ -61,6 +61,20 @@ def test_load_document_checks_schema():
     bad["schema_version"] = "999"
     with pytest.raises(ValueError):
         load_document(serialize(bad))
+    for not_an_object in ("[]", '"x"', "3", "null"):
+        with pytest.raises(ValueError, match="JSON object"):
+            load_document(not_an_object)
+    for key in ("perm", "cycle_type"):
+        rec = embedding_record(e)
+        del rec[key]
+        with pytest.raises(ValueError, match="malformed embedding record"):
+            load_embedding_record(rec)
+        with pytest.raises(ValueError, match="malformed embedding record"):
+            load_document(serialize(document("pack", embeddings=[rec])))
+    with pytest.raises(ValueError, match="malformed embedding record"):
+        load_document(serialize(document("pack", embeddings=["C5"])))
+    with pytest.raises(ValueError, match="must be a list"):
+        load_document(serialize(document("pack", embeddings=5)))
 
 
 def test_export_dot_layout():
