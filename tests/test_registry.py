@@ -1,17 +1,23 @@
 """The invariant registry: every invariant name the package uses is an
-oracle.INVARIANTS key, and the valued entries agree with networkx."""
+oracle.INVARIANTS key, and the valued entries agree with networkx.  The
+pairs and ladder extensions built here are also pinned by digest, so a
+change that reorders any returned permutation or trace fails."""
 
 from __future__ import annotations
 
+import hashlib
+import json
 from dataclasses import fields
 from itertools import combinations
 
 import networkx as nx
 import pytest
+from test_acceptance import LADDER_BASES
 
-from cyclepack.constructions import two_distinct_embeddings
+from cyclepack.constructions import ladder_extend, two_distinct_embeddings
 from cyclepack.embedding import CycleType, make_sum, realize
 from cyclepack.fixtures import FIXTURE_SPECS
+from cyclepack.report import embedding_record
 from cyclepack.oracle import (
     _INVARIANT_ORDER,
     INVARIANTS,
@@ -91,3 +97,37 @@ def test_valued_invariants_match_networkx_on_their_pairs(pairs):
     # a sum whose complement is no 2-factor
     s = make_sum(two_distinct_embeddings(CycleType((9,))).first).sum
     assert invariant_value(s, "complement-class") == complement_class(to_networkx(s)) == "none"
+
+
+# ------------------------------------------------------------ pinned outputs
+
+# sha256 of the records below, recorded when they were last meant to change
+PAIRS_DIGEST = "0d2543512c1b70436df980a3f306cb5aa511f45f690ebc2cff1e186ffc74c090"
+LADDERS_DIGEST = "18e5724e4d93c6fefff2c3a2745e9e6756acdfad7682da6f84cb2db51db542db"
+
+
+def digest(records: list) -> str:
+    return hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
+
+
+def test_pairs_are_byte_identical(pairs):
+    records = [
+        {
+            "first": embedding_record(pair.first),
+            "second": embedding_record(pair.second),
+            "invariant": pair.invariant,
+            "certificate": pair.certificate,
+        }
+        for pair in pairs
+    ]
+    assert digest(records) == PAIRS_DIGEST, f"new digest {digest(records)}"
+
+
+def test_ladder_extensions_are_byte_identical():
+    # the 30 extensions test_criterion_10 walks: three depths per base
+    records = []
+    for name in LADDER_BASES:
+        least = 2 if name == "c4c5-planar" else 1
+        records += [embedding_record(ladder_extend(name, l)) for l in range(least, least + 3)]
+    assert len(records) == 30
+    assert digest(records) == LADDERS_DIGEST, f"new digest {digest(records)}"
