@@ -238,27 +238,13 @@ def merge_components(e: Embedding) -> Embedding:
 
 
 def _swap_vertex(total: Graph, red: Graph, comp: list[int]) -> int:
-    """Lowest vertex whose two red edges are not needed for connectivity."""
-    mask = 0
-    for v in comp:
-        mask |= 1 << v
+    """Lowest vertex whose two red edges are not needed for connectivity:
+    with them dropped from the sum, comp is still one component."""
     for v in comp:
         drop = red.adj[v]
-        # BFS over the component with v's two red edges removed
-        frontier = 1 << comp[0]
-        seen = 0
-        while frontier:
-            seen |= frontier
-            nxt = 0
-            for u in bits(frontier):
-                row = total.adj[u] & mask
-                if u == v:
-                    row &= ~drop
-                elif drop >> u & 1:
-                    row &= ~(1 << v)
-                nxt |= row
-            frontier = nxt & ~seen
-        if seen == mask:
+        adj = [row & ~(1 << v) if drop >> u & 1 else row for u, row in enumerate(total.adj)]
+        adj[v] &= ~drop
+        if comp in connected_components(Graph(total.n, tuple(adj))):
             return v
     raise AssertionError("every component has a removable vertex")  # pragma: no cover
 
@@ -271,6 +257,17 @@ def merge_until_connected(e: Embedding) -> Embedding:
 
 
 # ------------------------------------------------------ explicit small cases
+
+
+def _onto_cycles(ct: CycleType, cycles, trace: tuple) -> Embedding:
+    """The packing of realize(ct) that sends each black cycle, in block
+    order, onto the listed image cycle of the same length, vertex by
+    vertex in the listed order."""
+    image = [0] * ct.total
+    for (start, m), cyc in zip(ct.blocks(), cycles):
+        assert m == len(cyc)
+        image[start : start + m] = cyc
+    return Embedding(realize(ct), Permutation(tuple(image)), trace)
 
 
 _TRIANGLE_LISTS: dict[tuple, dict[str | None, list[tuple[int, int, int]]]] = {
@@ -297,13 +294,8 @@ def triangle_list_packing(ct: CycleType, variant: str | None = None) -> Embeddin
     if variant not in table:
         options = ", ".join(str(k) for k in table)
         raise ValueError(f"variant {variant!r} not available for {ct} (have: {options})")
-    triangles = table[variant]
-    image = [0] * ct.total
-    for j, tri in enumerate(triangles):
-        for i, w in enumerate(tri):
-            image[3 * j + i] = w
     trace = (_step("triangle-list", cycle_type=list(ct.lengths), variant=variant),)
-    return Embedding(realize(ct), Permutation(tuple(image)), trace)
+    return _onto_cycles(ct, table[variant], trace)
 
 
 _BXY_CYCLES: dict[tuple, dict[str, list[tuple[int, ...]]]] = {
@@ -331,12 +323,8 @@ def bxy_packing(ct: CycleType, variant: str) -> Embedding:
         raise ValueError(f"no crossed-block packing for {ct}")
     if variant not in table:
         raise ValueError(f"variant must be one of {sorted(table)}, got {variant!r}")
-    image = [0] * ct.total
-    for j, cyc in enumerate(table[variant]):
-        for i, w in enumerate(cyc):
-            image[4 * j + i] = w
     trace = (_step("crossed-blocks", cycle_type=list(ct.lengths), variant=variant),)
-    e = Embedding(realize(ct), Permutation(tuple(image)), trace)
+    e = _onto_cycles(ct, table[variant], trace)
     assert is_bipartite(make_sum(e).sum).bipartite == (variant == "bipartite")
     return e
 
@@ -395,6 +383,11 @@ def _splits(ct: CycleType):
         yield key
 
 
+def _first_split(ct: CycleType) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """First split in _splits order whose two parts are both embeddable."""
+    return next(((p1, p2) for p1, p2 in _splits(ct) if _packable(p1) and _packable(p2)), None)
+
+
 def divide_and_pack(ct: CycleType, split: tuple[tuple[int, ...], tuple[int, ...]] | None = None) -> Embedding:
     """Pack two disjoint sub-unions independently; the sum is disconnected.
 
@@ -404,10 +397,7 @@ def divide_and_pack(ct: CycleType, split: tuple[tuple[int, ...], tuple[int, ...]
     if ct.cycle_count < 2:
         raise ValueError("need at least two cycles to divide")
     if split is None:
-        for part1, part2 in _splits(ct):
-            if _packable(part1) and _packable(part2):
-                split = (part1, part2)
-                break
+        split = _first_split(ct)
         if split is None:
             raise ValueError(f"{ct} admits no split into two embeddable parts")
     part1, part2 = (tuple(sorted(split[0])), tuple(sorted(split[1])))
@@ -462,9 +452,9 @@ def pack_some(ct: CycleType) -> Embedding:
         return cross_packing_33_6()
     if len(lengths) == 3 and lengths[0] == 3 and lengths[1] == 3 and lengths[2] >= 7:
         return k4_embedding(ct)
-    for part1, part2 in _splits(ct):
-        if _packable(part1) and _packable(part2):
-            return divide_and_pack(ct, (part1, part2))
+    split = _first_split(ct)
+    if split is not None:
+        return divide_and_pack(ct, split)
     # leftover small exceptional types: first hit of the reduced search
     return search_packing(ct)
 
@@ -477,13 +467,7 @@ def embedding_from_red_edges(ct: CycleType, red: Graph, trace: tuple = ()) -> Em
     by mapping black cycles onto image cycles of equal length in order."""
     if recognize_two_factor(red) != ct:
         raise ValueError("image edge set is not a union of cycles of the given type")
-    image = [0] * ct.total
-    red_cycles = _cycle_list(red)
-    for (start, m), cyc in zip(ct.blocks(), red_cycles):
-        assert m == len(cyc)
-        for i in range(m):
-            image[start + i] = cyc[i]
-    return Embedding(realize(ct), Permutation(tuple(image)), trace)
+    return _onto_cycles(ct, _cycle_list(red), trace)
 
 
 _LADDER_CACHE: dict[tuple[str, int], Embedding] = {}

@@ -21,6 +21,7 @@ from pathlib import Path
 from .embedding import CycleType, Embedding, TraceStep, make_sum, realize
 from .graph import Permutation
 from .oracle import enumerate_embeddings, satisfies
+from .report import serialize
 
 SCHEMA_VERSION = 1
 
@@ -110,7 +111,7 @@ def serialize_fixture(name: str, e: Embedding) -> str:
         "perm": list(e.perm.image),
         "invariants": dict(sorted(spec.invariants.items())),
     }
-    return json.dumps(record, indent=2, sort_keys=True) + "\n"
+    return serialize(record)
 
 
 def regen_fixture(name: str) -> Path:

@@ -34,10 +34,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
 
-    def neighbors(self, v: int) -> int:
-        """Neighbourhood of v as a bitmask."""
-        return self.adj[v]
-
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
 

@@ -283,11 +283,10 @@ def is_planar(g: Graph) -> PlanarityResult:
     unpruned search would return.
     """
     for block, bmask in _unsettled_blocks(g):
-        witness = _find_k5_subdivision(g, block, bmask)
-        if witness is None and len(block) >= 6:
-            witness = _find_k33_subdivision(g, block, bmask)
-        if witness is not None:
-            return witness
+        for kind, branch, pairs in _branch_sets(g, block, bmask):
+            paths = _pack_disjoint_paths(g, bmask, branch, pairs)
+            if paths is not None:
+                return PlanarityResult(False, kind, branch, tuple(paths))
     return PlanarityResult(True)
 
 
@@ -363,28 +362,18 @@ def _verified_rotation_system(g: Graph, block: list[int], bmask: int) -> bool:
     return len(block) - len(edges) + faces == 2
 
 
-def _find_k5_subdivision(g: Graph, block: list[int], bmask: int) -> PlanarityResult | None:
-    cands = [v for v in block if (g.adj[v] & bmask).bit_count() >= 4]
-    for branch in combinations(cands, 5):
-        pairs = list(combinations(branch, 2))
-        paths = _pack_disjoint_paths(g, bmask, branch, pairs)
-        if paths is not None:
-            return PlanarityResult(False, "K5", branch, tuple(paths))
-    return None
-
-
-def _find_k33_subdivision(g: Graph, block: list[int], bmask: int) -> PlanarityResult | None:
-    cands = [v for v in block if (g.adj[v] & bmask).bit_count() >= 3]
+def _branch_sets(g: Graph, block: list[int], bmask: int):
+    """(kind, branch vertices, pairs to link) for every K5 branch set of
+    the block, then every K3,3 one, each kind in lexicographic order."""
+    degree = {v: (g.adj[v] & bmask).bit_count() for v in block}
+    for branch in combinations([v for v in block if degree[v] >= 4], 5):
+        yield "K5", branch, list(combinations(branch, 2))
+    cands = [v for v in block if degree[v] >= 3]
     for side_a in combinations(cands, 3):
         rest = [v for v in cands if v not in side_a and v > side_a[0]]
         # side ordering fixed by requiring min(side_a) < min(side_b)
         for side_b in combinations(rest, 3):
-            branch = side_a + side_b
-            pairs = [(a, b) for a in side_a for b in side_b]
-            paths = _pack_disjoint_paths(g, bmask, branch, pairs)
-            if paths is not None:
-                return PlanarityResult(False, "K3,3", branch, tuple(paths))
-    return None
+            yield "K3,3", side_a + side_b, [(a, b) for a in side_a for b in side_b]
 
 
 def _pack_disjoint_paths(g, bmask: int, branch, pairs) -> list[tuple[int, ...]] | None:

@@ -48,8 +48,8 @@ NOT_EMBEDDABLE_TYPES = {(3,), (4,), (3, 3)}
 UNIQUE_TYPES = {(5,), (6,), (3, 4), (3, 5), (3, 3, 3), (3, 3, 3, 3)}
 
 
-def _large_allowed(allow_large: bool) -> bool:
-    return allow_large or bool(os.environ.get(_ENV_OVERRIDE))
+def _large_allowed() -> bool:
+    return bool(os.environ.get(_ENV_OVERRIDE))
 
 
 class Verdict(str, Enum):
@@ -67,9 +67,6 @@ class SearchConstraints:
     require_connected: bool | None = None
     limit: int | None = None
     class_limit: int | None = None
-
-    def is_exhaustive(self) -> bool:
-        return self.limit is None and self.class_limit is None
 
     def declared(self) -> dict[str, bool]:
         """The set require_* filters as {invariant name: wanted value}."""
@@ -113,7 +110,6 @@ def enumerate_embeddings(
     *,
     reduced: bool = False,
     track_classes: bool = False,
-    allow_large: bool = False,
 ) -> SearchOutcome:
     """Backtracking enumeration of all self-embeddings of g.
 
@@ -121,13 +117,20 @@ def enumerate_embeddings(
     False return stops the search.  reduced=True requires g to be the
     canonical realization of its cycle type and then visits one
     permutation per image edge set.
+
+    A search that can run through every leaf, because it has no stop
+    rule or because a declared filter may reject every leaf, refuses g
+    beyond SOFT_VERTEX_LIMIT vertices unless CYCLEPACK_ALLOW_LARGE is
+    set.  An unfiltered first-hit search has no vertex limit.
     """
     constraints = constraints or SearchConstraints()
     declared = constraints.declared()
-    if constraints.is_exhaustive() and g.n > SOFT_VERTEX_LIMIT and not _large_allowed(allow_large):
+    unbounded = constraints.limit is None and constraints.class_limit is None
+    if (declared or unbounded) and g.n > SOFT_VERTEX_LIMIT and not _large_allowed():
+        kind = "filtered search (its filter may reject every leaf)" if declared else "exhaustive enumeration"
         raise ValueError(
-            f"exhaustive enumeration of n={g.n} exceeds the soft limit "
-            f"{SOFT_VERTEX_LIMIT}; pass allow_large=True or set {_ENV_OVERRIDE}=1"
+            f"{kind} of n={g.n} exceeds the soft limit {SOFT_VERTEX_LIMIT}; "
+            f"set {_ENV_OVERRIDE}=1 to override"
         )
     lb: list[int | None] = [None] * g.n
     if reduced:
@@ -161,26 +164,34 @@ def enumerate_embeddings(
             return False
         return not (constraints.limit is not None and out.visited >= constraints.limit)
 
-    def rec(v: int, used: int) -> bool:
-        if v == n:
-            return leaf()
-        allowed = full & ~used
-        for u in nbrs_before[v]:
-            allowed &= ~adj[image[u]]
-        b = lb[v]
-        if b is not None:
-            allowed &= -(2 << image[b])
-        while allowed:
-            low = allowed & -allowed
-            allowed ^= low
-            w = low.bit_length() - 1
-            image[v] = w
-            if not rec(v + 1, used | low):
-                return False
-        return True
-
-    if not rec(0, 0):
-        out.exhausted = False
+    # depth-first in vertex order with an explicit stack, so the depth
+    # is not bounded by the interpreter's recursion limit
+    untried = [0] * n  # images vertex v has yet to try on this branch
+    used = [0] * (n + 1)  # images taken by the vertices before v
+    v = 0
+    while True:
+        if v < n:
+            allowed = full & ~used[v]
+            for u in nbrs_before[v]:
+                allowed &= ~adj[image[u]]
+            b = lb[v]
+            if b is not None:
+                allowed &= -(2 << image[b])
+            untried[v] = allowed
+        elif not leaf():
+            out.exhausted = False
+            break
+        else:
+            v -= 1
+        while v >= 0 and not untried[v]:
+            v -= 1
+        if v < 0:
+            break
+        low = untried[v] & -untried[v]
+        untried[v] ^= low
+        image[v] = low.bit_length() - 1
+        used[v + 1] = used[v] | low
+        v += 1
     return out
 
 
@@ -198,27 +209,19 @@ def find_embedding(
     return hit[0] if hit else None
 
 
-def sum_classes(
-    g: Graph,
-    *,
-    reduced: bool | None = None,
-    class_limit: int | None = None,
-    allow_large: bool = False,
-) -> SearchOutcome:
+def sum_classes(g: Graph, *, class_limit: int | None = None) -> SearchOutcome:
     """Isomorphism classes of packing sums with one witness embedding each.
 
-    Exhausts the embedding space unless class_limit stops it early; the
-    classes dict maps canonical forms to first-found witnesses in
-    deterministic order.  reduced=None picks reduced mode automatically
-    when g is a canonical cycle-type realization.
+    Exhausts the embedding space unless class_limit stops it early, so
+    without class_limit g is held to the soft vertex limit; the classes
+    dict maps canonical forms to first-found witnesses in deterministic
+    order.  The search runs in reduced mode when g is a canonical
+    cycle-type realization.
     """
-    if reduced is None:
-        ct = recognize_two_factor(g)
-        reduced = ct is not None and realize(ct) == g
+    ct = recognize_two_factor(g)
+    reduced = ct is not None and realize(ct) == g
     constraints = SearchConstraints(class_limit=class_limit)
-    return enumerate_embeddings(
-        g, constraints, reduced=reduced, track_classes=True, allow_large=allow_large
-    )
+    return enumerate_embeddings(g, constraints, reduced=reduced, track_classes=True)
 
 
 @dataclass(frozen=True)
@@ -252,13 +255,13 @@ def classify_by_theorem(ct: CycleType) -> Classification:
 def classify_by_oracle(ct: CycleType, *, allow_large: bool = False) -> Classification:
     """Verdict by exhaustive (reduced) search, stopping once two distinct
     sum classes are witnessed."""
-    if ct.total > SOFT_VERTEX_LIMIT and not _large_allowed(allow_large):
+    if ct.total > SOFT_VERTEX_LIMIT and not (allow_large or _large_allowed()):
         raise ValueError(
             f"oracle classification of {ct} (n={ct.total}) exceeds the soft limit; "
             f"set {_ENV_OVERRIDE}=1 to override"
         )
     g = realize(ct)
-    out = sum_classes(g, class_limit=2, allow_large=True)
+    out = sum_classes(g, class_limit=2)
     count = len(out.classes)
     if count == 0:
         verdict = Verdict.NOT_EMBEDDABLE
@@ -422,14 +425,15 @@ def _compute_census_row(ct: CycleType) -> CensusRow:
     )
 
 
-def census(n_max: int, *, jobs: int = 1, allow_large: bool = False) -> CensusReport:
+def census(n_max: int, *, jobs: int = 1) -> CensusReport:
     """Theorem-vs-oracle comparison across every cycle type up to n_max vertices.
 
-    jobs worker processes share the rows; more than os.cpu_count() are
-    never started.  A worker that dies outright fails the census naming
-    the first row whose result was lost.
+    n_max beyond CENSUS_LIMIT needs CYCLEPACK_ALLOW_LARGE set.  jobs
+    worker processes share the rows; more than os.cpu_count() are never
+    started.  A worker that dies outright fails the census naming the
+    first row whose result was lost.
     """
-    if n_max > CENSUS_LIMIT and not _large_allowed(allow_large):
+    if n_max > CENSUS_LIMIT and not _large_allowed():
         raise ValueError(f"census beyond n_max={CENSUS_LIMIT} needs {_ENV_OVERRIDE}=1")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")

@@ -74,6 +74,21 @@ def test_usage_errors_exit_1(tmp_path, capsys, monkeypatch):
     assert code == 1 and missing in err
     code, _, err = run(capsys, "export", "C5", "--dot", str(tmp_path))
     assert code == 1 and str(tmp_path) in err
+    # a filtered search may reject every leaf, so it is held to the soft limit
+    monkeypatch.delenv("CYCLEPACK_ALLOW_LARGE", raising=False)
+    for argv in (("C40", "--require-planar", "yes"), ("C3+C3+C30", "--require-planar", "no")):
+        code, out, err = run(capsys, "pack", *argv, "--strategy", "search")
+        assert (code, out) == (1, "") and "soft limit 14" in err and "CYCLEPACK_ALLOW_LARGE=1" in err
+
+
+def test_large_first_hit_packings(capsys, monkeypatch):
+    # an unfiltered first-hit search has no vertex limit, and the search
+    # depth is not bounded by the interpreter's recursion limit
+    monkeypatch.delenv("CYCLEPACK_ALLOW_LARGE", raising=False)
+    for argv in (("C3+C1200",), ("C4+C1100",), ("C3+C3+C1200",), ("C1100", "--strategy", "k4")):
+        code, out, err = run(capsys, "pack", *argv)
+        assert (code, err) == (0, ""), argv
+        assert load_document(out)["cycle_type"] == argv[0]
 
 
 def test_help_exits_0(capsys):
@@ -142,8 +157,8 @@ def test_census_out_file(tmp_path, capsys):
 def test_census_disagreement_exits_3(capsys, monkeypatch):
     real = oracle.census
 
-    def fake(n_max, jobs=1, allow_large=False):
-        rep = real(n_max, jobs=jobs, allow_large=allow_large)
+    def fake(n_max, jobs=1):
+        rep = real(n_max, jobs=jobs)
         rows = list(rep.rows)
         rows[0] = oracle.CensusRow(
             cycle_type=rows[0].cycle_type,

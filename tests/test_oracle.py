@@ -265,12 +265,20 @@ def test_soft_limits(monkeypatch):
         classify_by_oracle(CycleType((SOFT_VERTEX_LIMIT + 1,)))
     with pytest.raises(ValueError):
         census(CENSUS_LIMIT + 1)
+    large = realize(CycleType((SOFT_VERTEX_LIMIT + 1,)))
+    with pytest.raises(ValueError, match="soft limit"):
+        sum_classes(large)
+    # a filter may reject every leaf, so a filtered first-hit search can exhaust too
+    for filtered in (SearchConstraints(require_planar=True), SearchConstraints(require_connected=True)):
+        with pytest.raises(ValueError, match="filtered search.*CYCLEPACK_ALLOW_LARGE"):
+            find_embedding(large, filtered)
     monkeypatch.setenv("CYCLEPACK_ALLOW_LARGE", "1")
     out = enumerate_embeddings(
         realize(CycleType((SOFT_VERTEX_LIMIT + 1,))),
         SearchConstraints(limit=1),
     )
     assert out.visited == 1
+    assert find_embedding(large, SearchConstraints(require_connected=True)) is not None
 
 
 def test_constrained_search_skips_soft_limit():
