@@ -1,7 +1,8 @@
 """The invariant registry: every invariant name the package uses is an
 oracle.INVARIANTS key, and the valued entries agree with networkx.  The
-pairs and ladder extensions built here are also pinned by digest, so a
-change that reorders any returned permutation or trace fails."""
+pairs, ladder extensions and pack_some packings built here are also
+pinned by digest, so a change that reorders any returned permutation or
+trace fails."""
 
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ import networkx as nx
 import pytest
 from test_acceptance import LADDER_BASES
 
-from cyclepack.constructions import ladder_extend, two_distinct_embeddings
+from cyclepack.constructions import ladder_extend, pack_some, two_distinct_embeddings
 from cyclepack.embedding import CycleType, make_sum, realize
 from cyclepack.fixtures import FIXTURE_SPECS
 from cyclepack.report import embedding_record
@@ -104,6 +105,7 @@ def test_valued_invariants_match_networkx_on_their_pairs(pairs):
 # sha256 of the records below, recorded when they were last meant to change
 PAIRS_DIGEST = "0d2543512c1b70436df980a3f306cb5aa511f45f690ebc2cff1e186ffc74c090"
 LADDERS_DIGEST = "18e5724e4d93c6fefff2c3a2745e9e6756acdfad7682da6f84cb2db51db542db"
+PACKS_DIGEST = "4c71c4d998cf803226eda4035e64b38d2e9170baa0f06ff459431632f89315f6"
 
 
 def digest(records: list) -> str:
@@ -131,3 +133,11 @@ def test_ladder_extensions_are_byte_identical():
         records += [embedding_record(ladder_extend(name, l)) for l in range(least, least + 3)]
     assert len(records) == 30
     assert digest(records) == LADDERS_DIGEST, f"new digest {digest(records)}"
+
+
+def test_packs_are_byte_identical():
+    # the packing `cyclepack pack` prints by default, for every embeddable type up to 20 vertices
+    types = [ct for ct in census_types(20) if ct.lengths not in NOT_EMBEDDABLE_TYPES]
+    records = [embedding_record(pack_some(ct)) for ct in types]
+    assert len(records) == 238
+    assert digest(records) == PACKS_DIGEST, f"new digest {digest(records)}"
