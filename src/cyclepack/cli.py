@@ -157,7 +157,7 @@ def _cmd_census(args) -> int:
         raise ValueError("n_max must be at least 3")
     if args.out:
         _check_writable(args.out)
-    if args.n_max > oracle.CENSUS_LIMIT:
+    if args.n_max > oracle.CENSUS_LIMIT and oracle._large_allowed():
         print(
             f"warning: census({args.n_max}) is expensive; largest types may take long",
             file=sys.stderr,

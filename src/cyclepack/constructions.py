@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 
 from .embedding import (
     CycleType,
@@ -42,6 +43,7 @@ from .fixtures import FIXTURE_SPECS, load_fixture
 from .graph import (
     Graph,
     Permutation,
+    apply_permutation,
     bits,
     build_graph,
     connected_components,
@@ -53,10 +55,10 @@ from .oracle import (
     NOT_EMBEDDABLE_TYPES,
     UNIQUE_TYPES,
     SearchConstraints,
-    enumerate_embeddings,
     find_embedding,
     invariant_value,
     satisfies,
+    sum_classes,
 )
 
 
@@ -270,6 +272,13 @@ def _onto_cycles(ct: CycleType, cycles, trace: tuple) -> Embedding:
     return Embedding(realize(ct), Permutation(tuple(image)), trace)
 
 
+def _onto_layout(black: Graph) -> Permutation:
+    """The relabelling tau of a 2-factor that sends each of its cycles, in
+    _cycle_list order, vertex by vertex onto its block of realize, so
+    apply_permutation(black, tau) is the canonical realization."""
+    return Permutation(tuple(v for cyc in _cycle_list(black) for v in cyc)).inverse()
+
+
 _TRIANGLE_LISTS: dict[tuple, dict[str | None, list[tuple[int, int, int]]]] = {
     (3, 3, 3): {None: [(0, 3, 6), (1, 4, 7), (2, 5, 8)]},
     (3, 3, 3, 3): {None: [(0, 3, 6), (4, 7, 10), (2, 8, 11), (1, 5, 9)]},
@@ -364,10 +373,6 @@ def cross_packing_33_6() -> Embedding:
 # ------------------------------------------------------------ divide & pack
 
 
-def _packable(lengths: tuple[int, ...]) -> bool:
-    return lengths not in NOT_EMBEDDABLE_TYPES
-
-
 def _splits(ct: CycleType):
     """Unordered splits of the cycle multiset into two nonempty parts,
     deterministically ordered, each part sorted."""
@@ -385,7 +390,7 @@ def _splits(ct: CycleType):
 
 def _first_split(ct: CycleType) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     """First split in _splits order whose two parts are both embeddable."""
-    return next(((p1, p2) for p1, p2 in _splits(ct) if _packable(p1) and _packable(p2)), None)
+    return next((split for split in _splits(ct) if NOT_EMBEDDABLE_TYPES.isdisjoint(split)), None)
 
 
 def divide_and_pack(ct: CycleType, split: tuple[tuple[int, ...], tuple[int, ...]] | None = None) -> Embedding:
@@ -393,6 +398,9 @@ def divide_and_pack(ct: CycleType, split: tuple[tuple[int, ...], tuple[int, ...]
 
     split gives the two length multisets; None picks the first valid
     split in deterministic order.  Each part must be an embeddable type.
+    The parts' pack_some packings run side by side on the disjoint union
+    of their realizations, which _onto_layout relabels onto realize(ct):
+    equal-length cycles of the first part take the first such blocks.
     """
     if ct.cycle_count < 2:
         raise ValueError("need at least two cycles to divide")
@@ -404,30 +412,17 @@ def divide_and_pack(ct: CycleType, split: tuple[tuple[int, ...], tuple[int, ...]
     if tuple(sorted(part1 + part2)) != ct.lengths:
         raise ValueError(f"split {split} does not partition {ct}")
     for part in (part1, part2):
-        if not _packable(part):
+        if part in NOT_EMBEDDABLE_TYPES:
             raise ValueError(f"part {CycleType(part)} of the split is not embeddable")
 
-    g = realize(ct)
-    whole_blocks = ct.blocks()
-    taken = [False] * len(whole_blocks)
-    image = [0] * ct.total
-    for part in (part1, part2):
-        sub = pack_some(CycleType(part))
-        sub_blocks = CycleType(part).blocks()
-        to_whole: dict[int, int] = {}
-        for s_start, m in sub_blocks:
-            for bi, (w_start, wm) in enumerate(whole_blocks):
-                if wm == m and not taken[bi]:
-                    taken[bi] = True
-                    for i in range(m):
-                        to_whole[s_start + i] = w_start + i
-                    break
-        for v_sub, w_sub in enumerate(sub.perm.image):
-            image[to_whole[v_sub]] = to_whole[w_sub]
+    sub1, sub2 = (pack_some(CycleType(part)) for part in (part1, part2))
+    side_by_side = Permutation(sub1.perm.image + tuple(sub1.graph.n + w for w in sub2.perm.image))
+    tau = _onto_layout(disjoint_union(sub1.graph, sub2.graph))
+    perm = tau.compose(side_by_side.compose(tau.inverse()))
     trace = (
         _step("divide", cycle_type=list(ct.lengths), split=[list(part1), list(part2)]),
     )
-    e = Embedding(g, Permutation(tuple(image)), trace)
+    e = Embedding(realize(ct), perm, trace)
     assert len(connected_components(make_sum(e).sum)) >= 2
     return e
 
@@ -462,12 +457,21 @@ def pack_some(ct: CycleType) -> Embedding:
 # --------------------------------------------------------------- ladders
 
 
-def embedding_from_red_edges(ct: CycleType, red: Graph, trace: tuple = ()) -> Embedding:
+def embedding_from_red_edges(ct: CycleType, red: Graph) -> Embedding:
     """Build a packing of realize(ct) whose image edge set is exactly red,
     by mapping black cycles onto image cycles of equal length in order."""
     if recognize_two_factor(red) != ct:
         raise ValueError("image edge set is not a union of cycles of the given type")
-    return _onto_cycles(ct, _cycle_list(red), trace)
+    return _onto_cycles(ct, _cycle_list(red), ())
+
+
+def _rewire(g: Graph, n: int, drop, paths) -> Graph:
+    """g on n vertices, without the edges in drop and with the edges of
+    each path in paths."""
+    gone = {(min(e), max(e)) for e in drop}
+    edges = [e for e in g.edges() if e not in gone]
+    edges += [(x, y) for path in paths for x, y in zip(path, path[1:])]
+    return build_graph(n, edges)
 
 
 _LADDER_CACHE: dict[tuple[str, int], Embedding] = {}
@@ -478,14 +482,20 @@ def ladder_extend(template: str, l: int) -> Embedding:
     keeping every invariant the fixture declares.
 
     template names the base fixture; its FixtureSpec gives the base type
-    and the declared invariants.  Two black edges of the longest cycle
-    are subdivided l times each; the image edge at one subdivision
-    endpoint is rerouted through the new vertices as an alternating
-    ladder path, which lengthens the matching image cycle by 2l as well.
-    The concrete attachment is found by a deterministic search over the
-    finitely many placements; a placement is accepted only if the result
-    validates, is again a packing of the extended type onto itself, and
-    satisfies the declared invariants.  ValueError when none does.
+    and the declared invariants.  Two black edges u1w1 and u2w2 of the
+    longest cycle are subdivided by the new vertices a_1..a_l and
+    b_1..b_l; the image edge from w1 to its red neighbour q is rerouted
+    as the alternating ladder path q a_1 b_1 .. a_l b_l w1 ("far" rungs)
+    or q a_l b_l .. a_1 b_1 w1 ("near" rungs, tried only when l > 1,
+    where the two differ), which lengthens the matching image cycle by
+    2l as well.  Placements run
+    over edge u1w1 and its orientation, then edge u2w2 and its
+    orientation, then q in ascending order, then the rung order.  The
+    subdivided black graph and its relabelling onto realize depend on
+    the edge pair alone and are built once per pair.  A placement is
+    accepted when its image is edge-disjoint from the black graph, is a
+    2-factor of the extended type, and gives a sum with the declared
+    invariants.  ValueError when none does.
     """
     spec = next((f for f in FIXTURE_SPECS if f.name == template), None)
     if spec is None:
@@ -499,104 +509,46 @@ def ladder_extend(template: str, l: int) -> Embedding:
     ct = CycleType(spec.cycle_type)
     n = ct.total
     start, m = ct.blocks()[-1]  # longest cycle is extended
-    cyc = [start + j for j in range(m)]
     red = base.red_graph()
     new_n = n + 2 * l
-    a = [n + i for i in range(l)]
-    b = [n + l + i for i in range(l)]
-    new_lengths = tuple(sorted(ct.lengths[:-1] + (m + 2 * l,)))
-    new_ct = CycleType(new_lengths)
+    a = range(n, n + l)
+    b = range(n + l, new_n)
+    new_ct = CycleType(ct.lengths[:-1] + (m + 2 * l,))
+    rung_orders = [[v for i in range(l) for v in (a[i], b[i])]]
+    if l > 1:
+        rung_orders.append([v for i in reversed(range(l)) for v in (a[i], b[i])])
+    edges = [(start + i, start + (i + 1) % m) for i in range(m)]
+    oriented = [pair for edge in edges for pair in (edge, edge[::-1])]
 
-    base_black = set(base.graph.edges())
-    base_red = set(red.edges())
-
-    def placements():
-        # ordered edge pairs on the extended cycle, red anchor, and the
-        # chain end the rerouted image edge jumps to
-        jumps = ("far",) if l == 1 else ("far", "near")
-        for i1 in range(m):
-            ends1 = (cyc[i1], cyc[(i1 + 1) % m])
-            for u1, w1 in (ends1, ends1[::-1]):
-                for i2 in range(m):
-                    if i2 == i1:
-                        continue
-                    ends2 = (cyc[i2], cyc[(i2 + 1) % m])
-                    for u2, w2 in (ends2, ends2[::-1]):
-                        for q in sorted(bits(red.adj[w1])):
-                            for jump in jumps:
-                                yield (u1, w1), (u2, w2), q, jump
-
-    for e1, e2, q, jump in placements():
-        e = _ladder_candidate(base_black, base_red, new_ct, new_n, e1, e2, q, a, b, jump)
-        if e is None:
-            continue
-        s = make_sum(e).sum
-        # one-sided pre-filter: proven_planar proves planarity by verified
-        # rotation systems alone, so for planar=True a sum it cannot prove
-        # is skipped unsearched.  Those are non-planar sums, and on the ones
-        # with no K5 subdivision is_planar exhausts the K5 sweep and then
-        # searches K3,3 branch sets, 2-4 s per sum at 15-16 vertices.  The
-        # accepted placement is re-proved by satisfies just below
-        if "planar" in spec.invariants and proven_planar(s) != spec.invariants["planar"]:
-            continue
-        if not satisfies(s, spec.invariants):
-            continue
-        e = e.with_trace((_step("ladder", cycle_type=list(new_lengths), template=template, l=l),))
-        _LADDER_CACHE[(template, l)] = e
-        return e
+    for u1, w1 in oriented:
+        for u2, w2 in oriented:
+            if {u2, w2} == {u1, w1}:
+                continue
+            black = _rewire(base.graph, new_n, [(u1, w1), (u2, w2)], [[u1, *a, w1], [u2, *b, w2]])
+            tau = _onto_layout(black)
+            for q, rungs in product(bits(red.adj[w1]), rung_orders):
+                new_red = _rewire(red, new_n, [(q, w1)], [[q, *rungs, w1]])
+                if any(x & y for x, y in zip(black.adj, new_red.adj)):
+                    continue
+                if recognize_two_factor(new_red) != new_ct:
+                    continue
+                e = embedding_from_red_edges(new_ct, apply_permutation(new_red, tau))
+                s = make_sum(e).sum
+                # one-sided pre-filter: proven_planar proves planarity by verified
+                # rotation systems alone, so for planar=True a sum it cannot prove
+                # is skipped unsearched.  Those are non-planar sums, and on the ones
+                # with no K5 subdivision is_planar exhausts the K5 sweep and then
+                # searches K3,3 branch sets, 2-4 s per sum at 15-16 vertices.  The
+                # accepted placement is re-proved by satisfies just below
+                if "planar" in spec.invariants and proven_planar(s) != spec.invariants["planar"]:
+                    continue
+                if not satisfies(s, spec.invariants):
+                    continue
+                step = _step("ladder", cycle_type=list(new_ct.lengths), template=template, l=l)
+                e = e.with_trace((step,))
+                _LADDER_CACHE[(template, l)] = e
+                return e
     raise ValueError(f"no placement extends {template} by l={l} with {spec.invariants}")
-
-
-def _ladder_candidate(base_black, base_red, new_ct, new_n, e1, e2, q, a, b, jump):
-    """One concrete ladder placement, or None if it is not a valid packing
-    of the extended type onto itself."""
-    u1, w1 = e1
-    u2, w2 = e2
-    black = set(base_black)
-    black.discard((min(e1), max(e1)))
-    black.discard((min(e2), max(e2)))
-    chain1 = [u1, *a, w1]
-    chain2 = [u2, *b, w2]
-    for chain in (chain1, chain2):
-        for x, y in zip(chain, chain[1:]):
-            black.add((min(x, y), max(x, y)))
-    red = set(base_red)
-    red.discard((min(q, w1), max(q, w1)))
-    if jump == "far":
-        # reroute to the chain end away from the anchor, then alternate
-        ladder = [q, a[0]]
-        for i in range(len(a)):
-            ladder.append(b[i])
-            if i + 1 < len(a):
-                ladder.append(a[i + 1])
-    else:
-        # reroute to the chain end beside the anchor, alternating back
-        ladder = [q]
-        for i in range(len(a) - 1, -1, -1):
-            ladder.append(a[i])
-            ladder.append(b[i])
-    ladder.append(w1)
-    for x, y in zip(ladder, ladder[1:]):
-        pair = (min(x, y), max(x, y))
-        if pair in red:
-            return None
-        red.add(pair)
-    if black & red:
-        return None
-    ext_black = build_graph(new_n, sorted(black))
-    ext_red = build_graph(new_n, sorted(red))
-    if recognize_two_factor(ext_black) != new_ct:
-        return None
-    if recognize_two_factor(ext_red) != new_ct:
-        return None
-    # relabel so the black side is the canonical layout of the new type
-    tau = [0] * new_n
-    for (tstart, tm), cyc in zip(new_ct.blocks(), _cycle_list(ext_black)):
-        assert tm == len(cyc)
-        for i, v in enumerate(cyc):
-            tau[v] = tstart + i
-    red_relab = build_graph(new_n, sorted((min(tau[x], tau[y]), max(tau[x], tau[y])) for x, y in red))
-    return embedding_from_red_edges(new_ct, red_relab)
 
 
 # ------------------------------------------------------- two distinct sums
@@ -644,24 +596,18 @@ def _fixture_or_ladder(prefix: str, variant: str, p: int) -> Embedding:
 
 
 def _second_class_search(ct: CycleType, first: Embedding) -> Embedding:
-    """First leaf of the reduced search whose sum is not isomorphic to first's."""
+    """First leaf of the reduced search whose sum is not isomorphic to
+    first's: the first leaf, or else the witness of the second class."""
     want_not = canonical_form(make_sum(first).sum)
-    hit: list[Embedding] = []
-
-    def visit(e: Embedding) -> bool:
-        if canonical_form(make_sum(e).sum) != want_not:
-            hit.append(e)
-            return False
-        return True
-
-    enumerate_embeddings(first.graph, visit=visit, reduced=True)
-    assert hit, "no second sum class found"
+    classes = sum_classes(first.graph, class_limit=2).classes
+    hit = next((e for cf, e in classes.items() if cf != want_not), None)
+    assert hit is not None, "no second sum class found"
     step = _step(
         "search-second-class",
         cycle_type=list(ct.lengths),
         distinct_from=list(first.perm.image),
     )
-    return hit[0].with_trace((step,))
+    return hit.with_trace((step,))
 
 
 def two_distinct_embeddings(ct: CycleType) -> DistinctPair:

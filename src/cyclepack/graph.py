@@ -219,17 +219,14 @@ def biconnected_blocks(g: Graph) -> list[list[int]]:
     return blocks
 
 
-def analyze_connectivity(g: Graph) -> tuple[list[list[int]], set[int]]:
-    """Connected components plus the set of cut vertices.
-
-    A vertex is a cut vertex iff it lies in more than one block.
-    """
+def cut_vertices(g: Graph) -> set[int]:
+    """The cut vertices of g: the vertices that lie in more than one block."""
     seen: set[int] = set()
     cuts = set()
     for block in biconnected_blocks(g):
         cuts.update(v for v in block if v in seen)
         seen.update(block)
-    return connected_components(g), cuts
+    return cuts
 
 
 def is_regular(g: Graph, degree: int) -> bool:

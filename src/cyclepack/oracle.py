@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 
 from .embedding import CycleType, Embedding, make_sum, realize, recognize_two_factor
-from .graph import Graph, Permutation, analyze_connectivity, bits, complement, connected_components
+from .graph import Graph, Permutation, bits, complement, connected_components, cut_vertices
 from .invariants import (
     canonical_form,
     contains_k4,
@@ -297,7 +297,7 @@ class Invariant:
 # call.
 INVARIANTS: dict[str, Invariant] = {
     "connected": Invariant("sum is connected", lambda g: len(connected_components(g)) == 1),
-    "cut-vertex": Invariant("sum has a cut vertex", lambda g: bool(analyze_connectivity(g)[1])),
+    "cut-vertex": Invariant("sum has a cut vertex", lambda g: bool(cut_vertices(g))),
     "bipartite": Invariant("sum is bipartite", lambda g: is_bipartite(g).bipartite),
     "k4": Invariant("sum contains K4", lambda g: contains_k4(g) is not None),
     "p4-neighborhood": Invariant(

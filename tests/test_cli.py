@@ -190,10 +190,15 @@ def test_census_row_failure_exits_2_naming_the_type(capsys, monkeypatch):
 
 
 def test_census_warns_only_beyond_the_limit(capsys, monkeypatch):
+    # without the override a census beyond the limit is refused, unwarned
+    monkeypatch.delenv(oracle._ENV_OVERRIDE, raising=False)
+    code, _, err = run(capsys, "census", str(oracle.CENSUS_LIMIT + 1))
+    assert code == 1 and "warning" not in err
     small = oracle.census(3)
     monkeypatch.setattr(cli.oracle, "census", lambda n_max, jobs=1: small)
     _, _, err = run(capsys, "census", str(oracle.CENSUS_LIMIT))
     assert "warning" not in err
+    monkeypatch.setenv(oracle._ENV_OVERRIDE, "1")
     _, _, err = run(capsys, "census", str(oracle.CENSUS_LIMIT + 1))
     assert "is expensive" in err
 

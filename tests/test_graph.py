@@ -9,12 +9,12 @@ import pytest
 
 from cyclepack.graph import (
     Permutation,
-    analyze_connectivity,
     apply_permutation,
     bits,
     build_graph,
     complement,
     connected_components,
+    cut_vertices,
     disjoint_union,
     edge_sum,
     is_regular,
@@ -132,12 +132,11 @@ def test_connected_components_order():
 def test_cut_vertices():
     # path 0-1-2 plus triangle 3-4-5: path interior is a cut vertex
     g = build_graph(6, [(0, 1), (1, 2), (3, 4), (4, 5), (3, 5)])
-    comps, cuts = analyze_connectivity(g)
-    assert len(comps) == 2
-    assert cuts == {1}
+    assert len(connected_components(g)) == 2
+    assert cut_vertices(g) == {1}
     # two triangles sharing vertex 2
     h = build_graph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
-    assert analyze_connectivity(h)[1] == {2}
+    assert cut_vertices(h) == {2}
 
 
 def test_cut_vertices_match_networkx():
@@ -151,7 +150,7 @@ def test_cut_vertices_match_networkx():
         ref = nx.Graph()
         ref.add_nodes_from(range(n))
         ref.add_edges_from(edges)
-        assert analyze_connectivity(g)[1] == set(nx.articulation_points(ref)), edges
+        assert cut_vertices(g) == set(nx.articulation_points(ref)), edges
         saw_isolated |= any(a == 0 for a in g.adj)
         saw_bridge |= any(True for _ in nx.bridges(ref))
     assert saw_isolated and saw_bridge
