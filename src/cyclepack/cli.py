@@ -22,6 +22,14 @@ from . import constructions, fixtures, oracle, report
 from .embedding import CycleType, make_sum, parse_cycle_type
 
 STRATEGIES = ("auto", "rotation", "k4", "triangles", "bxy", "divide", "search")
+# the strategies that read each pack/export option; any other refuses it
+_READERS = {
+    "shift": ("rotation",),
+    "variant": ("triangles", "bxy"),
+    "require_k4": ("search",),
+    "require_planar": ("search",),
+    "connected": ("search",),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -52,7 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
     k.add_argument("--shift", type=int, help="rotation: explicit shift r")
     k.add_argument("--require-k4", choices=("yes", "no"), help="search: sum must/must not contain K4")
     k.add_argument("--require-planar", choices=("yes", "no"), help="search: sum must/must not be planar")
-    k.add_argument("--connected", action="store_true", help="search: sum must be connected")
+    k.add_argument("--connected", action="store_true", default=None, help="search: sum must be connected")
     k.add_argument("--timings", action="store_true")
 
     s = sub.add_parser("census", help="theorem vs oracle over all types with total <= n_max")
@@ -68,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
     e.add_argument("--variant")
     e.add_argument("--shift", type=int)
     # no filter flags here: --strategy search exports the first packing found
-    e.set_defaults(require_k4=None, require_planar=None, connected=False)
+    e.set_defaults(require_k4=None, require_planar=None, connected=None)
 
     f = sub.add_parser("fixtures", help="regenerate or verify the committed packings")
     f.add_argument("action", choices=("regen", "verify"))
@@ -113,6 +121,10 @@ def _cmd_classify(args) -> int:
 
 def _packing_for(ct: CycleType, args):
     strategy = args.strategy
+    for option, readers in _READERS.items():
+        if getattr(args, option) is not None and strategy not in readers:
+            flag = "--" + option.replace("_", "-")
+            raise ValueError(f"strategy {strategy} does not read {flag} (read by {', '.join(readers)})")
     if strategy == "auto":
         return constructions.pack_some(ct)
     if strategy == "rotation":

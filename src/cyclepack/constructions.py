@@ -17,7 +17,7 @@ Routes:
   * removal of four consecutive cycle vertices, packing the remainder,
     and closing the image so the removed vertices induce a K4;
   * explicit red triangle lists for 3, 4 and 5 disjoint triangles;
-  * crossed complete-bipartite blocks for 2 and 4-cycle unions;
+  * crossed complete-bipartite blocks for unions of two and three 4-cycles;
   * independent packing of a split (disconnected sum) plus the
     neighbour-swap merge that reconnects two sum components;
   * ladder extensions that lengthen the longest cycle of a committed
@@ -49,7 +49,7 @@ from .graph import (
     connected_components,
     disjoint_union,
 )
-from .invariants import are_isomorphic, canonical_form, is_bipartite, proven_planar
+from .invariants import canonical_form, is_bipartite, proven_planar
 from .oracle import (
     INVARIANTS,
     NOT_EMBEDDABLE_TYPES,
@@ -118,34 +118,19 @@ def choose_coprime_shift(n: int) -> int:
 # ------------------------------------------------- K4 from four path vertices
 
 
-def _star(n: int) -> Graph:
-    return build_graph(n, [(0, v) for v in range(1, n)])
-
-
-def _embeddability_exception_name(g: Graph) -> str | None:
-    """If g is one of the sparse graphs with no self-embedding, name it."""
-    n = g.n
-    candidates: list[tuple[str, Graph]] = []
-    if n >= 2:
-        candidates.append((f"K1,{n - 1}", _star(n)))
-    if n >= 8:
-        star = _star(n - 3)
-        tri = realize(CycleType((3,)))
-        candidates.append((f"K1,{n - 4}+K3", disjoint_union(star, tri)))
-    fixed = {
-        4: [("K1+K3", [(1, 2), (2, 3), (1, 3)])],
-        5: [
-            ("K2+K3", [(0, 1), (2, 3), (3, 4), (2, 4)]),
-            ("K1+C4", [(1, 2), (2, 3), (3, 4), (4, 1)]),
-        ],
-        7: [("K1+2K3", [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6)])],
-    }
-    for name, edges in fixed.get(n, []):
-        candidates.append((name, build_graph(n, edges)))
-    for name, h in candidates:
-        if are_isomorphic(g, h):
-            return name
-    return None
+# Failed K4 closures, keyed by (path vertices m - 4, other cycle lengths).
+# The remainder is the path left on the m-cycle plus the untouched cycles,
+# a graph of order p = n - 4 and size p - 1.  Of the Burns-Schuster (1978)
+# list of such graphs with no self-embedding (K1,p-1; K1,p-4+K3 for p >= 8;
+# K1+K3; K2+K3; K1+C4; K1+2K3) only these six are a path plus cycles.
+_K4_CLOSURE_FAILURES: dict[tuple[int, tuple[int, ...]], str] = {
+    (2, ()): "K1,1",
+    (3, ()): "K1,2",
+    (1, (3,)): "K1+K3",
+    (2, (3,)): "K2+K3",
+    (1, (4,)): "K1+C4",
+    (1, (3, 3)): "K1+2K3",
+}
 
 
 def k4_embedding(ct: CycleType, cycle_index: int | None = None, offset: int = 0) -> Embedding:
@@ -169,8 +154,6 @@ def k4_embedding(ct: CycleType, cycle_index: int | None = None, offset: int = 0)
     g = realize(ct)
     n = ct.total
     a = [start + (offset + i) % m for i in range(4)]
-    x = start + (offset - 1) % m
-    y = start + (offset + 4) % m  # equals x when m == 5
 
     removed = set(a)
     keep = [v for v in range(n) if v not in removed]
@@ -184,7 +167,8 @@ def k4_embedding(ct: CycleType, cycle_index: int | None = None, offset: int = 0)
 
     inner = find_embedding(remainder)
     if inner is None:
-        name = _embeddability_exception_name(remainder) or "an unexpected graph"
+        others = ct.lengths[:cycle_index] + ct.lengths[cycle_index + 1 :]
+        name = _K4_CLOSURE_FAILURES.get((m - 4, others), "an unexpected graph")
         raise ValueError(
             f"remainder after removing four vertices of {ct} is not embeddable "
             f"(isomorphic to {name})"
@@ -193,7 +177,8 @@ def k4_embedding(ct: CycleType, cycle_index: int | None = None, offset: int = 0)
     image = [0] * n
     for v in keep:
         image[v] = old_of[inner.perm(new_of[v])]
-    # close the image path x' - a3 - a1 - a4 - a2 - y'; the chords
+    # close the image path x' - a3 - a1 - a4 - a2 - y', where x' and y' are
+    # the images of the outer cycle neighbours of a1 and a4; the chords
     # a1a3, a1a4, a2a4 are exactly the three edges missing from the K4
     image[a[0]] = a[2]
     image[a[1]] = a[0]

@@ -176,14 +176,14 @@ def biconnected_blocks(g: Graph) -> list[list[int]]:
     low = [0] * n
     blocks: list[list[int]] = []
     stack: list[tuple[int, int]] = []  # edge stack
-    counter = [0]
+    counter = 0
 
     for root in range(n):
         if num[root] != -1:
             continue
-        work = [(root, -1, iter(list(bits(g.adj[root]))))]
-        num[root] = low[root] = counter[0]
-        counter[0] += 1
+        work = [(root, -1, bits(g.adj[root]))]
+        num[root] = low[root] = counter
+        counter += 1
         while work:
             v, parent, it = work[-1]
             advanced = False
@@ -192,9 +192,9 @@ def biconnected_blocks(g: Graph) -> list[list[int]]:
                     continue
                 if num[w] == -1:
                     stack.append((v, w))
-                    num[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    work.append((w, v, iter(list(bits(g.adj[w])))))
+                    num[w] = low[w] = counter
+                    counter += 1
+                    work.append((w, v, bits(g.adj[w])))
                     advanced = True
                     break
                 elif num[w] < num[v]:
@@ -207,15 +207,13 @@ def biconnected_blocks(g: Graph) -> list[list[int]]:
                 pv = work[-1][0]
                 low[pv] = min(low[pv], low[v])
                 if low[v] >= num[pv]:
+                    # the block is the tree edge (pv, v) and the edges above it
                     verts = set()
-                    while stack and stack[-1] != (pv, v):
-                        a, b = stack.pop()
-                        verts.update((a, b))
-                    if stack:
-                        a, b = stack.pop()
-                        verts.update((a, b))
-                    if verts:
-                        blocks.append(sorted(verts))
+                    edge = None
+                    while edge != (pv, v):
+                        edge = stack.pop()
+                        verts.update(edge)
+                    blocks.append(sorted(verts))
     return blocks
 
 

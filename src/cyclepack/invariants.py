@@ -190,17 +190,13 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
 def contains_k4(g: Graph) -> tuple[int, int, int, int] | None:
     """First 4-subset inducing a complete graph, or None."""
     adj = g.adj
-    for quad in combinations(range(g.n), 4):
-        a, b, c, d = quad
-        if (
-            adj[a] >> b & 1
-            and adj[a] >> c & 1
-            and adj[a] >> d & 1
-            and adj[b] >> c & 1
-            and adj[b] >> d & 1
-            and adj[c] >> d & 1
-        ):
-            return quad
+    for a in range(g.n):
+        # each next vertex is a common neighbour of the earlier ones, above the last
+        for b in bits(adj[a] & -1 << a + 1):
+            ab = adj[a] & adj[b]
+            for c in bits(ab & -1 << b + 1):
+                for d in bits(ab & adj[c] & -1 << c + 1):
+                    return a, b, c, d
     return None
 
 
@@ -235,23 +231,14 @@ def is_bipartite(g: Graph) -> BipartiteResult:
 
 
 def _odd_cycle(parent: list[int], u: int, v: int) -> tuple[int, ...]:
-    # climb both BFS branches to their common ancestor
+    # u and v have one colour, and a BFS edge joins depths that differ by at
+    # most one, so u and v have one depth: climbing both branches in lockstep
+    # reaches their common ancestor on both sides at the same step
     up, vp = [u], [v]
-    seen = {u: 0}
-    x = u
-    while parent[x] != -1:
-        x = parent[x]
-        seen[x] = len(up)
-        up.append(x)
-    x = v
-    while x not in seen:
-        x = parent[x]
-        vp.append(x)
-    lca = x
-    cycle = up[: seen[lca] + 1] + vp[-2::-1] if vp[-1] == lca else None
-    if cycle is None:  # pragma: no cover - defensive
-        raise AssertionError("odd cycle reconstruction failed")
-    return tuple(cycle)
+    while up[-1] != vp[-1]:
+        up.append(parent[up[-1]])
+        vp.append(parent[vp[-1]])
+    return tuple(up + vp[-2::-1])
 
 
 @dataclass(frozen=True)

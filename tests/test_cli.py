@@ -74,6 +74,18 @@ def test_usage_errors_exit_1(tmp_path, capsys, monkeypatch):
     assert code == 1 and missing in err
     code, _, err = run(capsys, "export", "C5", "--dot", str(tmp_path))
     assert code == 1 and str(tmp_path) in err
+    # an option the chosen strategy does not read is refused, not dropped
+    dot = tmp_path / "c9.dot"
+    for argv, option, strategy in (
+        (("pack", "C3+C6", "--require-planar", "yes"), "--require-planar", "auto"),
+        (("pack", "C9", "--strategy", "rotation", "--require-planar", "yes"), "--require-planar", "rotation"),
+        (("pack", "C9", "--strategy", "k4", "--shift", "4"), "--shift", "k4"),
+        (("pack", "C9", "--strategy", "divide", "--connected"), "--connected", "divide"),
+        (("export", "C9", "--dot", str(dot), "--strategy", "search", "--variant", "A"), "--variant", "search"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "") and option in err and f"strategy {strategy}" in err, argv
+    assert not dot.exists()
     # a filtered search may reject every leaf, so it is held to the soft limit
     monkeypatch.delenv("CYCLEPACK_ALLOW_LARGE", raising=False)
     for argv in (("C40", "--require-planar", "yes"), ("C3+C3+C30", "--require-planar", "no")):
@@ -121,6 +133,9 @@ def test_pack_search_constraints(capsys):
     assert step["op"] == "search"
     assert step["params"]["require_planar"] is False
     assert step["params"]["require_connected"] is True
+    code, out, _ = run(capsys, "pack", "C4+C5", "--strategy", "search", "--require-k4", "yes")
+    assert code == 0
+    assert load_document(out)["embeddings"][0]["trace"][0]["params"]["require_k4"] is True
 
 
 def test_pack_unsatisfiable_constraints_exit_1(capsys):
@@ -135,6 +150,10 @@ def test_pack_strategy_validation(capsys):
     assert run(capsys, "pack", "C9", "--strategy", "bxy")[0] == 1
     assert run(capsys, "pack", "C7", "--strategy", "k4")[0] == 1
     assert run(capsys, "pack", "C3+C3+C3", "--strategy", "triangles")[0] == 0
+    assert run(capsys, "pack", "C4+C4", "--strategy", "bxy", "--variant", "nonbipartite")[0] == 0
+    code, out, _ = run(capsys, "pack", "C5+C5+C6", "--strategy", "divide")
+    assert code == 0
+    assert load_document(out)["embeddings"][0]["trace"][0]["op"] == "divide"
 
 
 def test_census_stdout_and_exit(capsys):

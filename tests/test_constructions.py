@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import pytest
 
@@ -100,11 +101,41 @@ def test_k4_embedding_cycle_index_and_offset():
         k4_embedding(ct, cycle_index=0)  # length-3 cycle
 
 
+# The remainder of a K4 closure on an m-cycle is a path on m - 4 vertices
+# plus the other cycles; these are the shapes among the (p, p - 1) graphs
+# with no self-embedding (Burns and Schuster 1978).
+FAILED_REMAINDERS = {
+    (2, ()): "K1,1",
+    (3, ()): "K1,2",
+    (1, (3,)): "K1+K3",
+    (2, (3,)): "K2+K3",
+    (1, (4,)): "K1+C4",
+    (1, (3, 3)): "K1+2K3",
+}
+
+
 def test_k4_embedding_names_impossible_remainders():
     with pytest.raises(ValueError, match="K1,2"):
         k4_embedding(CycleType((7,)))
     with pytest.raises(ValueError, match="K1,1"):
         k4_embedding(CycleType((6,)))
+    # the closure fails exactly on the listed remainders, and names them
+    named = set()
+    for ct in census_types(14):
+        for index, m in enumerate(ct.lengths):
+            if m < 5:
+                continue
+            shape = (m - 4, ct.lengths[:index] + ct.lengths[index + 1 :])
+            for offset in (0, 1):
+                if shape in FAILED_REMAINDERS:
+                    name = re.escape(f"(isomorphic to {FAILED_REMAINDERS[shape]})")
+                    with pytest.raises(ValueError, match=name):
+                        k4_embedding(ct, index, offset)
+                    named.add(shape)
+                else:
+                    e = k4_embedding(ct, index, offset)
+                    assert contains_k4(sum_graph(e)) is not None, (ct, index, offset)
+    assert named == set(FAILED_REMAINDERS)
 
 
 # ------------------------------------------------------------------ merges
@@ -274,6 +305,39 @@ def test_two_distinct_embeddings_to_10():
                 assert e.trace[0].params["cycle_type"] == list(ct.lengths)
 
 
+# every op replay_trace handles
+TRACE_OPS = {
+    "rotate",
+    "coprime-shift",
+    "k4-extension",
+    "triangle-list",
+    "crossed-blocks",
+    "explicit-unique",
+    "cross-3-3-6",
+    "divide",
+    "search",
+    "search-second-class",
+    "fixture",
+    "ladder",
+    "merge",
+}
+
+
+def test_every_trace_op_is_emitted_and_replays():
+    first_use = {}
+    for ct in embeddable_types(14):
+        built = [pack_some(ct)]
+        if ct.lengths not in UNIQUE_TYPES:
+            pair = two_distinct_embeddings(ct)
+            built += [pair.first, pair.second]
+        for e in built:
+            for step in e.trace:
+                first_use.setdefault(step.op, (ct, e))
+    assert set(first_use) == TRACE_OPS
+    for op, (ct, e) in first_use.items():
+        assert replay_trace(ct, e.trace).perm == e.perm, op
+
+
 def test_embedding_from_red_edges_rejects_wrong_image():
     ct = CycleType((3, 4))
     with pytest.raises(ValueError):
@@ -289,6 +353,10 @@ def test_replay_trace_error_paths():
         replay_trace(CycleType((5,)), (TraceStep("merge", {}),))
     with pytest.raises(ValueError):
         replay_trace(CycleType((5,)), (TraceStep("levitate", {}),))
+    # only merge steps may follow the opening step
+    rotate = TraceStep("rotate", {"cycle_type": [5], "r": 2})
+    with pytest.raises(ValueError, match="must open the trace"):
+        replay_trace(CycleType((5,)), (rotate, rotate))
     # a valid trace replayed against the wrong target type must fail
     e = pack_some(CycleType((5,)))
     with pytest.raises(ValueError):

@@ -10,6 +10,7 @@ import pytest
 from cyclepack.graph import (
     Permutation,
     apply_permutation,
+    biconnected_blocks,
     bits,
     build_graph,
     complement,
@@ -151,6 +152,8 @@ def test_cut_vertices_match_networkx():
         ref.add_nodes_from(range(n))
         ref.add_edges_from(edges)
         assert cut_vertices(g) == set(nx.articulation_points(ref)), edges
+        blocks = sorted(sorted(b) for b in nx.biconnected_components(ref))
+        assert sorted(biconnected_blocks(g)) == blocks, edges
         saw_isolated |= any(a == 0 for a in g.adj)
         saw_bridge |= any(True for _ in nx.bridges(ref))
     assert saw_isolated and saw_bridge

@@ -101,14 +101,12 @@ def test_contains_k4_matches_brute_force():
             for q in combinations(range(g.n), 4)
             if all(g.has_edge(u, v) for u, v in combinations(q, 2))
         ]
-        if quad is None:
-            assert not brute
-        else:
-            assert all(g.has_edge(u, v) for u, v in combinations(quad, 2))
+        assert quad == (brute[0] if brute else None)
 
 
 def test_contains_k4_known():
     assert contains_k4(complete(4)) == (0, 1, 2, 3)
+    assert contains_k4(complete(5)) == (0, 1, 2, 3)
     assert contains_k4(realize(CycleType((7,)))) is None
 
 
