@@ -200,9 +200,10 @@ def _cmd_census(args) -> int:
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
-        print(f"census written to {args.out} ({len(rows)} rows)")
-    else:
-        print(text, end="")
+        # the rows went to the file; stdout names it, as export names its dot path
+        doc = report.document("census", n_max=args.n_max, out=args.out, disagreements=payload["disagreements"])
+        text = report.serialize(doc)
+    print(text, end="")
     return 3 if rep.disagreements else 0
 
 

@@ -49,7 +49,7 @@ from .graph import (
     connected_components,
     disjoint_union,
 )
-from .invariants import canonical_form, is_bipartite, proven_planar
+from .invariants import canonical_form, is_bipartite
 from .oracle import (
     INVARIANTS,
     NOT_EMBEDDABLE_TYPES,
@@ -286,8 +286,9 @@ def triangle_list_packing(ct: CycleType, variant: str | None = None) -> Embeddin
     if table is None:
         raise ValueError(f"no triangle list for {ct}")
     if variant not in table:
-        options = ", ".join(str(k) for k in table)
-        raise ValueError(f"variant {variant!r} not available for {ct} (have: {options})")
+        if None in table:
+            raise ValueError(f"{ct} has one triangle list and takes no variant")
+        raise ValueError(f"{ct} needs a variant, one of {', '.join(table)}")
     trace = (_step("triangle-list", cycle_type=list(ct.lengths), variant=variant),)
     return _onto_cycles(ct, table[variant], trace)
 
@@ -519,14 +520,6 @@ def ladder_extend(template: str, l: int) -> Embedding:
                     continue
                 e = embedding_from_red_edges(new_ct, apply_permutation(new_red, tau))
                 s = make_sum(e).sum
-                # one-sided pre-filter: proven_planar proves planarity by verified
-                # rotation systems alone, so for planar=True a sum it cannot prove
-                # is skipped unsearched.  Those are non-planar sums, and on the ones
-                # with no K5 subdivision is_planar exhausts the K5 sweep and then
-                # searches K3,3 branch sets, 2-4 s per sum at 15-16 vertices.  The
-                # accepted placement is re-proved by satisfies just below
-                if "planar" in spec.invariants and proven_planar(s) != spec.invariants["planar"]:
-                    continue
                 if not satisfies(s, spec.invariants):
                     continue
                 step = _step("ladder", cycle_type=list(new_ct.lengths), template=template, l=l)

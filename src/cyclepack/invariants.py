@@ -281,9 +281,11 @@ def proven_planar(g: Graph) -> bool:
     """True iff every block of g is planar by its size or by a verified
     rotation system, the proofs is_planar takes before any search.
 
-    One-sided: True proves planarity, False proves nothing.  A cheap
-    filter for candidate searches; a verdict that matters must go
-    through is_planar.
+    One-sided: True proves planarity, False proves nothing.  It is how
+    oracle.satisfies accepts a declared planar sum; a sum it cannot
+    prove is rejected without a Kuratowski search, since a filter claims
+    nothing about what it rejects.  Every printed verdict goes through
+    is_planar.
     """
     return next(_unsettled_blocks(g), None) is None
 

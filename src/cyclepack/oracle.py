@@ -38,6 +38,7 @@ from .invariants import (
     is_bipartite,
     is_planar,
     max_triangle_subset,
+    proven_planar,
 )
 
 SOFT_VERTEX_LIMIT = 14
@@ -326,13 +327,28 @@ def invariant_value(g: Graph, name: str) -> object:
 def satisfies(g: Graph, declared: Mapping[str, bool]) -> bool:
     """True iff g has every declared {invariant name: value}, checked in
     INVARIANTS order so the cheap checks reject first.  Only yes/no
-    invariants can be declared."""
+    invariants can be declared.
+
+    Every filter (search leaves, fixtures, ladders) settles planarity
+    here by one rule.  planar=True is accepted only when proven_planar
+    proves it, and otherwise rejected with no Kuratowski search: a
+    filter claims nothing about the sums it rejects, so a rejection
+    needs no witness.  planar=False goes through is_planar, so every
+    accepted non-planar sum has a K5 or K3,3 subdivision witness.
+    """
     for name in declared:
         if name not in INVARIANTS:
             raise ValueError(f"unknown invariant {name!r}")
         if INVARIANTS[name].valued:
             raise ValueError(f"invariant {name!r} is valued, not yes/no; it cannot be declared")
-    return all(invariant_value(g, name) == declared[name] for name in INVARIANTS if name in declared)
+
+    def holds(name: str) -> bool:
+        # planar=True is accepted on proof alone; a rejected sum needs no witness
+        if name == "planar" and declared[name]:
+            return proven_planar(g)
+        return invariant_value(g, name) == declared[name]
+
+    return all(holds(name) for name in INVARIANTS if name in declared)
 
 
 def first_distinguishing_invariant(g1: Graph, g2: Graph) -> tuple[str, bool, bool] | None:

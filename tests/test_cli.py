@@ -86,6 +86,13 @@ def test_usage_errors_exit_1(tmp_path, capsys, monkeypatch):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, "") and option in err and f"strategy {strategy}" in err, argv
     assert not dot.exists()
+    # a triangle list with no variants refuses one, and one with variants names them
+    for argv, words in (
+        (("C3+C3+C3", "--variant", "A"), "takes no variant"),
+        (("C3+C3+C3+C3+C3",), "one of A, B"),
+    ):
+        code, out, err = run(capsys, "pack", *argv, "--strategy", "triangles")
+        assert (code, out) == (1, "") and words in err and "None" not in err, argv
     # a filtered search may reject every leaf, so it is held to the soft limit
     monkeypatch.delenv("CYCLEPACK_ALLOW_LARGE", raising=False)
     for argv in (("C40", "--require-planar", "yes"), ("C3+C3+C30", "--require-planar", "no")):
@@ -169,7 +176,10 @@ def test_census_out_file(tmp_path, capsys):
     target = tmp_path / "census.json"
     code, out, _ = run(capsys, "census", "6", "--out", str(target))
     assert code == 0
-    assert "census written" in out
+    # stdout is a census document that names the file and carries no rows
+    doc = load_document(out)
+    assert doc["command"] == "census" and "rows" not in doc
+    assert (doc["n_max"], doc["out"], doc["disagreements"]) == (6, str(target), [])
     assert len(json.loads(target.read_text())["rows"]) == 5
 
 

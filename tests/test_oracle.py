@@ -11,7 +11,9 @@ from itertools import permutations
 import pytest
 
 from cyclepack.embedding import CycleType, make_sum, realize
+from cyclepack.fixtures import load_fixture
 from cyclepack.graph import Permutation, apply_permutation, build_graph, connected_components
+from cyclepack.invariants import is_planar
 from cyclepack import oracle
 from cyclepack.oracle import (
     CENSUS_LIMIT,
@@ -105,6 +107,45 @@ def test_constraint_filters():
     assert not invariant_value(make_sum(nonplanar).sum, "planar")
     connected = find_embedding(g, SearchConstraints(require_connected=True), reduced=True)
     assert len(connected_components(make_sum(connected).sum)) == 1
+
+
+def test_planar_filter_hits_the_first_planar_leaf():
+    # the filter accepts a planar sum on its verified rotation system alone,
+    # so its first hit must be the first reduced leaf is_planar calls planar
+    misses = 0
+    for ct in census_types(10):
+        if ct.lengths in oracle.NOT_EMBEDDABLE_TYPES:
+            continue
+        g = realize(ct)
+        first = []
+
+        def visit(e):
+            if is_planar(make_sum(e).sum).planar:
+                first.append(e.perm)
+                return False
+            return True
+
+        enumerate_embeddings(g, visit=visit, reduced=True)
+        hit = find_embedding(g, SearchConstraints(require_planar=True), reduced=True)
+        assert (hit.perm if hit else None) == (first[0] if first else None), ct
+        misses += not first
+    assert misses > 0
+
+
+def test_planar_declaration_needs_a_verified_rotation_system(monkeypatch):
+    # with no rotation system verified, no filter accepts a planar sum under
+    # either declaration, and a non-planar sum is still accepted on its witness
+    planar = make_sum(load_fixture("c3c6-planar")).sum
+    nonplanar = make_sum(load_fixture("c3c6-nonplanar")).sum
+    g = realize(CycleType((3, 6)))
+    first_nonplanar = find_embedding(g, SearchConstraints(require_planar=False), reduced=True)
+    monkeypatch.setattr("cyclepack.invariants._verified_rotation_system", lambda *args: False)
+    assert not satisfies(planar, {"planar": True})
+    assert not satisfies(planar, {"planar": False})
+    assert satisfies(nonplanar, {"planar": False})
+    assert find_embedding(g, SearchConstraints(require_planar=True), reduced=True) is None
+    hit = find_embedding(g, SearchConstraints(require_planar=False), reduced=True)
+    assert hit.perm == first_nonplanar.perm
 
 
 def test_sum_classes_class_limit():

@@ -21,7 +21,7 @@ from test_invariants import check_subdivision_witness
 from cyclepack.constructions import ladder_extend
 from cyclepack.embedding import make_sum
 from cyclepack.graph import Graph, bits, build_graph
-from cyclepack.invariants import PlanarityResult, is_planar
+from cyclepack.invariants import PlanarityResult, is_planar, proven_planar
 
 
 def reference_pack_disjoint_paths(g, bmask: int, branch, pairs):
@@ -68,6 +68,8 @@ def reference_is_planar(g: Graph) -> PlanarityResult:
 def check_against_references(g: Graph) -> None:
     res = is_planar(g)
     assert res == reference_is_planar(g)
+    # the planar filter accepts on proven_planar alone, so it must prove every planar graph
+    assert proven_planar(g) == res.planar
     assert res.planar == nx.check_planarity(to_nx(g))[0]
     if not res.planar:
         check_subdivision_witness(g, res)
