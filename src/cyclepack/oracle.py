@@ -61,13 +61,20 @@ class Verdict(str, Enum):
 
 @dataclass(frozen=True)
 class SearchConstraints:
-    """Leaf filters (tri-state: True/False/None=don't care) and stop rules."""
+    """Leaf filters (tri-state: True/False/None=don't care) and stop rules.
+    A stop rule, when set, is at least 1."""
 
     require_k4: bool | None = None
     require_planar: bool | None = None
     require_connected: bool | None = None
     limit: int | None = None
     class_limit: int | None = None
+
+    def __post_init__(self):
+        for name in ("limit", "class_limit"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
 
     def declared(self) -> dict[str, bool]:
         """The set require_* filters as {invariant name: wanted value}."""
@@ -292,18 +299,19 @@ class Invariant:
 
 
 # The one registry of sum invariants: every name a sum can be filtered
-# on, declared with or certified by.  The yes/no ones come cheapest
-# first; satisfies checks in this order.  Each check names its function
-# at call time, so a wrapper installed over the module global sees every
-# call.
+# on, declared with or certified by.  Census certificates name the first
+# yes/no entry, in this order, that separates a row's two witnesses.
+# planar comes last because it is the one entry that can run a K5/K3,3
+# witness search.  Each check names its function at call time, so a
+# wrapper installed over the module global sees every call.
 INVARIANTS: dict[str, Invariant] = {
-    "connected": Invariant("sum is connected", lambda g: len(connected_components(g)) == 1),
-    "cut-vertex": Invariant("sum has a cut vertex", lambda g: bool(cut_vertices(g))),
-    "bipartite": Invariant("sum is bipartite", lambda g: is_bipartite(g).bipartite),
     "k4": Invariant("sum contains K4", lambda g: contains_k4(g) is not None),
+    "bipartite": Invariant("sum is bipartite", lambda g: is_bipartite(g).bipartite),
+    "cut-vertex": Invariant("sum has a cut vertex", lambda g: bool(cut_vertices(g))),
     "p4-neighborhood": Invariant(
         "some neighbourhood induces a 4-path", lambda g: has_p4_neighborhood_vertex(g) is not None
     ),
+    "connected": Invariant("sum is connected", lambda g: len(connected_components(g)) == 1),
     "planar": Invariant("sum is planar", lambda g: is_planar(g).planar),
     "connectivity": Invariant("sum components", lambda g: len(connected_components(g)), valued=True),
     "complement-class": Invariant(  # the complement's 2-factor type, or "none"
@@ -314,9 +322,6 @@ INVARIANTS: dict[str, Invariant] = {
     ),
 }
 
-# certificate order; census certificate strings depend on it
-_INVARIANT_ORDER = ("k4", "bipartite", "planar", "cut-vertex", "p4-neighborhood")
-
 
 def invariant_value(g: Graph, name: str) -> object:
     if name not in INVARIANTS:
@@ -326,8 +331,9 @@ def invariant_value(g: Graph, name: str) -> object:
 
 def satisfies(g: Graph, declared: Mapping[str, bool]) -> bool:
     """True iff g has every declared {invariant name: value}, checked in
-    INVARIANTS order so the cheap checks reject first.  Only yes/no
-    invariants can be declared.
+    INVARIANTS order, so planar, the one check that can search, runs
+    last.  Only yes/no invariants can be declared, and only as True or
+    False.
 
     Every filter (search leaves, fixtures, ladders) settles planarity
     here by one rule.  planar=True is accepted only when proven_planar
@@ -336,11 +342,13 @@ def satisfies(g: Graph, declared: Mapping[str, bool]) -> bool:
     needs no witness.  planar=False goes through is_planar, so every
     accepted non-planar sum has a K5 or K3,3 subdivision witness.
     """
-    for name in declared:
+    for name, want in declared.items():
         if name not in INVARIANTS:
             raise ValueError(f"unknown invariant {name!r}")
         if INVARIANTS[name].valued:
             raise ValueError(f"invariant {name!r} is valued, not yes/no; it cannot be declared")
+        if not isinstance(want, bool):
+            raise ValueError(f"invariant {name!r} must be declared True or False, got {want!r}")
 
     def holds(name: str) -> bool:
         # planar=True is accepted on proof alone; a rejected sum needs no witness
@@ -352,8 +360,10 @@ def satisfies(g: Graph, declared: Mapping[str, bool]) -> bool:
 
 
 def first_distinguishing_invariant(g1: Graph, g2: Graph) -> tuple[str, bool, bool] | None:
-    """First invariant in fixed order that separates the two graphs, if any."""
-    for name in _INVARIANT_ORDER:
+    """First yes/no invariant, in INVARIANTS order, that separates the
+    two graphs, if any; planar, tried last, is reached only when no
+    cheaper invariant separates them."""
+    for name in (name for name, inv in INVARIANTS.items() if not inv.valued):
         v1, v2 = invariant_value(g1, name), invariant_value(g2, name)
         if v1 != v2:
             return name, v1, v2

@@ -11,8 +11,10 @@ import math
 import random
 import time
 
+import networkx as nx
 import pytest
 
+from cyclepack import oracle
 from cyclepack.constructions import (
     choose_coprime_shift,
     k4_embedding,
@@ -109,15 +111,90 @@ def test_criterion_04_c7_two_classes_with_named_complements():
     assert CycleType((3, 4)) in complement_types
 
 
-def test_criterion_05_census_to_12_has_zero_disagreements():
+# census(12) certificates: the first yes/no entry of oracle.INVARIANTS
+# that separates a row's two witness sums; None below two classes
+CENSUS_12_CERTIFICATES = {
+    "C3": None,
+    "C4": None,
+    "C5": None,
+    "C3+C3": None,
+    "C6": None,
+    "C3+C4": None,
+    "C7": "p4-neighborhood: True vs False",
+    "C3+C5": None,
+    "C4+C4": "k4: True vs False",
+    "C8": "canonical only",
+    "C3+C3+C3": None,
+    "C3+C6": "p4-neighborhood: True vs False",
+    "C4+C5": "k4: True vs False",
+    "C9": "k4: True vs False",
+    "C3+C3+C4": "canonical only",
+    "C3+C7": "k4: True vs False",
+    "C4+C6": "k4: True vs False",
+    "C5+C5": "connected: False vs True",
+    "C10": "p4-neighborhood: False vs True",
+    "C3+C3+C5": "p4-neighborhood: True vs False",
+    "C3+C4+C4": "k4: True vs False",
+    "C3+C8": "k4: True vs False",
+    "C4+C7": "canonical only",
+    "C5+C6": "connected: False vs True",
+    "C11": "p4-neighborhood: True vs False",
+    "C3+C3+C3+C3": None,
+    "C3+C3+C6": "k4: True vs False",
+    "C3+C4+C5": "connected: False vs True",
+    "C3+C9": "k4: True vs False",
+    "C4+C4+C4": "canonical only",
+    "C4+C8": "canonical only",
+    "C5+C7": "p4-neighborhood: True vs False",
+    "C6+C6": "p4-neighborhood: False vs True",
+    "C12": "canonical only",
+}
+
+
+def to_networkx(g) -> nx.Graph:
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    return h
+
+
+# networkx's answer for every yes/no invariant, independent of cyclepack
+NX_YES_NO = {
+    "k4": lambda h: max(map(len, nx.find_cliques(h))) >= 4,
+    "bipartite": nx.is_bipartite,
+    "cut-vertex": lambda h: any(True for _ in nx.articulation_points(h)),
+    "p4-neighborhood": lambda h: any(
+        nx.is_isomorphic(h.subgraph(h[v]), nx.path_graph(4)) for v in h if h.degree(v) == 4
+    ),
+    "connected": nx.is_connected,
+    "planar": lambda h: nx.check_planarity(h)[0],
+}
+
+
+def test_criterion_05_census_to_12_has_zero_disagreements(monkeypatch):
     """Oracle and closed-form verdicts agree on every cycle type with at
     most 12 vertices; truncation is only ever recorded after two classes
-    are in hand.  Budget: 30 minutes."""
+    are in hand.  Each certificate is pinned, and networkx confirms on
+    the row's two witness sums that they are not isomorphic and that the
+    certificate names the first yes/no invariant, in oracle.INVARIANTS
+    order, on which they differ.  Budget: 30 minutes."""
+    witnesses = {}
+    classify = oracle.classify_by_oracle
+
+    def capture(ct, **kwargs):
+        cls = classify(ct, **kwargs)
+        witnesses[ct.render()] = cls.witnesses
+        return cls
+
+    monkeypatch.setattr(oracle, "classify_by_oracle", capture)
     start = time.perf_counter()
     rep = census(12)
     elapsed = time.perf_counter() - start
     assert len(rep.rows) == 34
     assert rep.disagreements == 0
+    assert {r.cycle_type.render(): r.certificate for r in rep.rows} == CENSUS_12_CERTIFICATES
+    yes_no = [name for name, inv in oracle.INVARIANTS.items() if not inv.valued]
+    assert sorted(yes_no) == sorted(NX_YES_NO)
     for row in rep.rows:
         assert row.agree, row.cycle_type
         assert row.exhausted or row.class_count >= 2, row.cycle_type
@@ -129,6 +206,17 @@ def test_criterion_05_census_to_12_has_zero_disagreements():
             else Verdict.MULTIPLE
         )
         assert row.oracle == expected, row.cycle_type
+        if row.certificate is None:
+            continue
+        h1, h2 = (to_networkx(sum_graph(e)) for e in witnesses[row.cycle_type.render()])
+        assert not nx.is_isomorphic(h1, h2), row.cycle_type
+        separated = "canonical only"
+        for name in yes_no:
+            v1, v2 = NX_YES_NO[name](h1), NX_YES_NO[name](h2)
+            if v1 != v2:
+                separated = f"{name}: {v1} vs {v2}"
+                break
+        assert row.certificate == separated, row.cycle_type
     assert elapsed < 1800.0
 
 

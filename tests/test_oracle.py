@@ -353,3 +353,33 @@ def test_first_distinguishing_invariant():
     name, v1, v2 = first_distinguishing_invariant(g, h)
     assert name == "bipartite" and (v1, v2) == (False, True)
     assert first_distinguishing_invariant(g, g) is None
+    # each pair also differs in a later invariant, which pins the order
+    two_k4 = build_graph(8, [(a + o, b + o) for o in (0, 4) for a in range(4) for b in range(a + 1, 4)])
+    assert first_distinguishing_invariant(two_k4, realize(CycleType((8,)))) == ("k4", True, False)
+    k33 = build_graph(6, [(a, b) for a in range(3) for b in range(3, 6)])
+    squares = build_graph(7, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5), (5, 6), (6, 0)])
+    assert first_distinguishing_invariant(k33, squares) == ("cut-vertex", False, True)
+    fan = build_graph(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 3), (3, 4)])
+    triangles = build_graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
+    assert first_distinguishing_invariant(fan, triangles) == ("p4-neighborhood", True, False)
+
+
+def test_declared_values_must_be_true_or_false():
+    g = realize(CycleType((3, 6)))
+    with pytest.raises(ValueError, match="'planar' must be declared True or False, got 'no'"):
+        satisfies(g, {"planar": "no"})
+    with pytest.raises(ValueError, match="'k4' must be declared True or False, got 'yes'"):
+        find_embedding(g, SearchConstraints(require_k4="yes"))
+    with pytest.raises(ValueError, match="cannot be declared"):
+        satisfies(g, {"triangle-max": 3})
+
+
+def test_stop_rules_below_one_are_refused():
+    g = realize(CycleType((3, 6)))
+    for bad in (0, -5):
+        with pytest.raises(ValueError, match=f"limit must be at least 1, got {bad}"):
+            SearchConstraints(limit=bad)
+        with pytest.raises(ValueError, match=f"class_limit must be at least 1, got {bad}"):
+            sum_classes(g, class_limit=bad)
+    assert enumerate_embeddings(g, SearchConstraints(limit=1)).visited == 1
+    assert len(sum_classes(g, class_limit=1).classes) == 1
