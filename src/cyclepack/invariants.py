@@ -12,14 +12,21 @@ leaves is the form; pruning never changes it.  Highly symmetric graphs
 
 The distinguishers are the ones that show up in proofs about 4-regular
 packing sums: K4 subgraphs, bipartiteness (with odd-cycle witness),
-planarity (with an explicit K5/K3,3-subdivision witness), cut vertices,
-a vertex whose open neighbourhood induces P4, and the maximum number of
-triangles an induced subset of given size can carry.
+planarity, cut vertices, a vertex whose open neighbourhood induces P4,
+and the maximum number of triangles an induced subset of given size can
+carry.
+
+Planarity has one trust chain in both directions: networkx proposes,
+the package checks a planar verdict's rotation system by a face count
+and a non-planar one's K5 or K3,3 subdivision.  A proposal that fails
+its check raises RuntimeError, which the CLI maps to exit 2.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 from .graph import Graph, biconnected_blocks, bits
@@ -250,190 +257,176 @@ class PlanarityResult:
 
 
 def is_planar(g: Graph) -> PlanarityResult:
-    """Exact planarity; a non-planar verdict always carries a K5 or K3,3
-    subdivision witness, a planar one a self-verified certificate.
+    """Exact planarity; a non-planar verdict carries a checked K5 or K3,3
+    subdivision witness, a planar one rests on checked rotation systems.
 
-    Per biconnected block: a block with cyclomatic number <= 3 cannot
-    host a K3,3 (cyclomatic 4) or K5 (cyclomatic 6) subdivision.  Next a
-    fast planarity test supplies a rotation system that is accepted only
-    after an independent face-count verification here.  Blocks passing
-    neither are settled by exhaustive subdivision search, which is also
-    the sole authority whenever the fast path or its verifier balks.
-
-    The search tries K5 branch sets, then K3,3 ones, in lexicographic
-    order, and packs their paths by backtracking.  Port counting prunes
-    it: a branch vertex with fewer usable neighbours (unused free
-    vertices, or partners it is adjacent to and still has to be linked
-    to) than partners left is a dead end.  That is a necessary condition
-    for a packing, so only subtrees without one are cut, the search order
-    of the rest is unchanged, and the witness is the first one the
-    unpruned search would return.
+    A biconnected block with cyclomatic number <= 3 cannot host a K3,3
+    (cyclomatic 4) or K5 (cyclomatic 6) subdivision.  networkx proposes
+    a verdict for every other block.  The package checks a rotation
+    system by a face count and cuts a subdivision out of a non-planar
+    block (_kuratowski_witness).  A proposal that fails its check
+    raises RuntimeError (exit 2 from the CLI).
     """
-    for block, bmask in _unsettled_blocks(g):
-        for kind, branch, pairs in _branch_sets(g, block, bmask):
-            paths = _pack_disjoint_paths(g, bmask, branch, pairs)
-            if paths is not None:
-                return PlanarityResult(False, kind, branch, tuple(paths))
+    for edges in _unsettled_blocks(g):
+        return PlanarityResult(False, *_kuratowski_witness(edges))
     return PlanarityResult(True)
 
 
 def proven_planar(g: Graph) -> bool:
-    """True iff every block of g is planar by its size or by a verified
-    rotation system, the proofs is_planar takes before any search.
+    """True iff every block of g is planar by its size or by a checked
+    rotation system, the proofs is_planar takes before any witness.
 
     One-sided: True proves planarity, False proves nothing.  It is how
-    oracle.satisfies accepts a declared planar sum; a sum it cannot
-    prove is rejected without a Kuratowski search, since a filter claims
-    nothing about what it rejects.  Every printed verdict goes through
+    oracle.satisfies accepts a declared planar sum; a filter claims
+    nothing about what it rejects.  A rotation system that fails its
+    check raises RuntimeError.  Every printed verdict goes through
     is_planar.
     """
     return next(_unsettled_blocks(g), None) is None
 
 
 def _unsettled_blocks(g: Graph):
-    """(block, mask) of each biconnected block, in order, that neither
-    its cyclomatic number nor a verified rotation system proves planar;
-    any Kuratowski subdivision lives in one of these."""
+    """Edge tuple of each biconnected block, in order, that neither its
+    cyclomatic number nor a checked rotation system proves planar; any
+    Kuratowski subdivision lives in one of these."""
     for block in biconnected_blocks(g):
         if len(block) < 5:
             continue
-        bmask = 0
-        for v in block:
-            bmask |= 1 << v
-        e_block = sum((g.adj[v] & bmask).bit_count() for v in block) // 2
-        if e_block <= len(block) + 2:
+        bmask = sum(1 << v for v in block)
+        if sum((g.adj[v] & bmask).bit_count() for v in block) <= 2 * (len(block) + 2):
             continue
-        if not _verified_rotation_system(g, block, bmask):
-            yield block, bmask
+        edges = tuple((u, v) for u in sorted(block) for v in bits(g.adj[u] & bmask) if u < v)
+        rotation = _rotation_system(edges)
+        if rotation is None:
+            yield edges
+        else:
+            _check_rotation(edges, rotation)
 
 
-def _verified_rotation_system(g: Graph, block: list[int], bmask: int) -> bool:
-    """True iff a fast planarity test yields a rotation system for the
-    block that passes the Euler face-count check done here.
-
-    Trust chain: the external test only proposes an embedding; the
-    verification below (every rotation is a cyclic order of the exact
-    neighbourhood, faces traced from the rotation close up, and
-    v - e + f = 2) is what certifies planarity.  Any failure falls back
-    to exhaustive search.
-    """
+def _rotation_system(edges) -> dict[int, list[int]] | None:
+    """networkx's proposal for the graph on these edges: the clockwise
+    rotation of a planar embedding, or None for "not planar".  The
+    package's one call into networkx; callers check what it returns."""
     import networkx as nx
 
-    sub = nx.Graph()
-    sub.add_nodes_from(block)
-    edges = [(u, v) for u in block for v in bits(g.adj[u] & bmask) if u < v]
-    sub.add_edges_from(edges)
-    ok, cert = nx.check_planarity(sub, counterexample=False)
-    if not ok:
-        return False
-    rotation = {v: list(cert.neighbors_cw_order(v)) for v in block}
-    for v in block:
-        if sorted(rotation[v]) != sorted(bits(g.adj[v] & bmask)):
-            return False
+    graph = nx.Graph()
+    graph.add_edges_from(edges)
+    planar, embedding = nx.check_planarity(graph)
+    return {v: list(embedding.neighbors_cw_order(v)) for v in embedding} if planar else None
+
+
+def _check_rotation(edges, rotation: dict[int, list[int]]) -> None:
+    """Raise RuntimeError unless the rotation embeds the block in the
+    plane: every rotation is a cyclic order of the exact neighbourhood,
+    and the faces traced from it satisfy v - e + f = 2."""
+    nbrs = _neighbours(edges)
+    if rotation.keys() != nbrs.keys() or any(sorted(rotation[v]) != sorted(nbrs[v]) for v in nbrs):
+        raise RuntimeError("networkx's rotation system does not match the block's neighbourhoods")
     succ = {}
     for v, order in rotation.items():
         for i, u in enumerate(order):
             # next darts of face traversal: after u->v comes v->order[i+1]
             succ[(u, v)] = (v, order[(i + 1) % len(order)])
+    # with exact neighbourhoods succ permutes the darts, so every face closes
     darts = set(succ)
-    if len(darts) != 2 * len(edges):
-        return False
     faces = 0
     while darts:
         start = darts.pop()
         faces += 1
         cur = succ[start]
         while cur != start:
-            if cur not in darts:
-                return False
             darts.remove(cur)
             cur = succ[cur]
-    return len(block) - len(edges) + faces == 2
+    if len(nbrs) - len(edges) + faces != 2:
+        raise RuntimeError("networkx's rotation system fails the face count")
 
 
-def _branch_sets(g: Graph, block: list[int], bmask: int):
-    """(kind, branch vertices, pairs to link) for every K5 branch set of
-    the block, then every K3,3 one, each kind in lexicographic order."""
-    degree = {v: (g.adj[v] & bmask).bit_count() for v in block}
-    for branch in combinations([v for v in block if degree[v] >= 4], 5):
-        yield "K5", branch, list(combinations(branch, 2))
-    cands = [v for v in block if degree[v] >= 3]
-    for side_a in combinations(cands, 3):
-        rest = [v for v in cands if v not in side_a and v > side_a[0]]
-        # side ordering fixed by requiring min(side_a) < min(side_b)
-        for side_b in combinations(rest, 3):
-            yield "K3,3", side_a + side_b, [(a, b) for a in side_a for b in side_b]
+def _neighbours(edges) -> dict[int, list[int]]:
+    nbrs: dict[int, list[int]] = {}
+    for u, v in edges:
+        nbrs.setdefault(u, []).append(v)
+        nbrs.setdefault(v, []).append(u)
+    return nbrs
 
 
-def _pack_disjoint_paths(g, bmask: int, branch, pairs) -> list[tuple[int, ...]] | None:
-    """Internally-vertex-disjoint paths inside the block linking every pair.
+@lru_cache(maxsize=1024)
+def _kuratowski_witness(edges) -> tuple[str, tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """(kind, branch vertices, paths) of a checked K5 or K3,3 subdivision
+    in the block on these edges, which networkx calls non-planar.
 
-    Branch vertices may appear only as endpoints; internal vertices are
-    used by at most one path.  Exhaustive backtracking, shortest
-    continuations first, pruned by port counting: the paths are
-    internally disjoint, so each pair still to be linked needs its own
-    first edge at each of its ends, into an unused free vertex or straight
-    into the partner.  A branch with some branch vertex short of such
-    usable neighbours is dead.  Every branch vertex is checked once before
-    any path is placed, and the ones adjacent to a free vertex y each time
-    a path takes y; the pair whose path is being built counts as linked,
-    so the check covers the pairs after it.  Pruning cuts only subtrees
-    without a packing and keeps the order of the rest, so the first
-    packing found is the one the unpruned search finds.
+    Vertices, then edges, are deleted while networkx still calls the
+    rest non-planar, until the rest reads as a subdivision, as an
+    edge-minimal non-planar graph does by Kuratowski's theorem.  If it
+    never does, networkx answered wrongly: RuntimeError.  Memoised, as
+    a filter and then a certificate often ask about one sum in turn.
     """
-    branch_mask = 0
-    for v in branch:
-        branch_mask |= 1 << v
-    free0 = bmask & ~branch_mask
-    adj = g.adj
-    need = dict.fromkeys(branch, 0)  # partners each branch vertex is still to be linked to
-    for a, b in pairs:
-        need[a] |= 1 << b
-        need[b] |= 1 << a
-    result: list[tuple[int, ...]] = []
+    keep = edges
+    witness = _read_subdivision(keep)
 
-    def starved(vs: int, usable: int) -> bool:
-        """Some branch vertex in the mask vs has fewer usable neighbours
-        than partners left to link."""
-        for v in bits(vs):
-            want = need[v]
-            if (adj[v] & (usable | want)).bit_count() < want.bit_count():
-                return True
-        return False
+    def delete(gone) -> None:
+        nonlocal keep, witness
+        rest = tuple(e for e in keep if e not in gone)
+        if witness is None and len(rest) < len(keep) and _rotation_system(rest) is None:
+            keep, witness = rest, _read_subdivision(rest)
 
-    def place(i: int, free: int) -> bool:
-        if i == len(pairs):
-            return True
-        a, b = pairs[i]
-        need[a] ^= 1 << b
-        need[b] ^= 1 << a
+    for v in sorted({v for e in edges for v in e}):
+        delete({e for e in keep if v in e})
+    degree = Counter(v for e in keep for v in e)
+    # an edge between vertices of high degree is the likelier to be spare
+    for e in sorted(keep, key=lambda e: -degree[e[0]] - degree[e[1]]):
+        delete({e})
+    if witness is None:
+        raise RuntimeError("networkx's non-planarity proposal leaves no K5 or K3,3 subdivision")
+    return witness
 
-        def extend(path: list[int], used: int) -> bool:
-            x = path[-1]
-            if adj[x] >> b & 1:
-                result.append(tuple(path + [b]))
-                if place(i + 1, free & ~used):
-                    return True
-                result.pop()
-            for y in bits(adj[x] & free & ~used):
-                taken = used | (1 << y)
-                if starved(adj[y] & branch_mask, free & ~taken):
-                    continue
-                path.append(y)
-                if extend(path, taken):
-                    return True
-                path.pop()
-            return False
 
-        if extend([a], 0):
-            return True
-        need[a] ^= 1 << b
-        need[b] ^= 1 << a
-        return False
+def _read_subdivision(edges):
+    """(kind, branch vertices, paths) if the edges form exactly a K5 or
+    K3,3 subdivision, else None.  The branch vertices are the vertices of
+    degree >= 3, and walking out of each one along vertices of degree 2
+    gives the paths; _is_subdivision decides."""
+    nbrs = _neighbours(edges)
+    branch = tuple(sorted(v for v in nbrs if len(nbrs[v]) >= 3))
+    walks = {}
+    for a in branch:
+        for x in nbrs[a]:
+            path = [a, x]
+            while len(nbrs[path[-1]]) == 2:
+                y, z = nbrs[path[-1]]
+                path.append(z if y == path[-2] else y)
+            walks[a, path[-1]] = tuple(path)
+    if len(branch) == 6:
+        # the side of branch[0] is itself and the branch vertices it has no path to
+        side = [v for v in branch if (branch[0], v) not in walks]
+        branch = tuple(side) + tuple(v for v in branch if v not in side)
+    kind = "K5" if len(branch) == 5 else "K3,3"
+    paths = tuple(walks.get(pair, ()) for pair in _branch_pairs(kind, branch))
+    return (kind, branch, paths) if _is_subdivision(edges, kind, branch, paths) else None
 
-    if starved(branch_mask, free0) or not place(0, free0):
-        return None
-    return result
+
+def _branch_pairs(kind: str, branch: tuple[int, ...]) -> list[tuple[int, int]]:
+    """The branch pairs a subdivision links; K3,3's sides are branch[:3], branch[3:]."""
+    if kind == "K5":
+        return list(combinations(branch, 2))
+    return [(a, b) for a in branch[:3] for b in branch[3:]]
+
+
+def _is_subdivision(edges, kind: str, branch: tuple[int, ...], paths) -> bool:
+    """True iff the paths form a subdivision of kind on branch that uses
+    exactly the given edges: 5 or 6 distinct branch vertices, one path
+    per pair of _branch_pairs running from its first vertex to its
+    second, and interiors that avoid the branch vertices and one
+    another, so no edge lies on two paths."""
+    pairs = _branch_pairs(kind, branch)
+    interior = [v for path in paths for v in path[1:-1]]
+    used = {frozenset(e) for path in paths for e in zip(path, path[1:])}
+    return (
+        len(set(branch)) == len(branch) == (5 if kind == "K5" else 6)
+        and len(paths) == len(pairs)
+        and all(len(path) >= 2 and (path[0], path[-1]) == pair for pair, path in zip(pairs, paths))
+        and len(set(interior) | set(branch)) == len(interior) + len(branch)
+        and used == {frozenset(e) for e in edges}
+    )
 
 
 def has_p4_neighborhood_vertex(g: Graph) -> int | None:

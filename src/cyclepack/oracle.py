@@ -75,6 +75,7 @@ class SearchConstraints:
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ValueError(f"{name} must be at least 1, got {value}")
+        _check_declared(self.declared())
 
     def declared(self) -> dict[str, bool]:
         """The set require_* filters as {invariant name: wanted value}."""
@@ -301,8 +302,8 @@ class Invariant:
 # The one registry of sum invariants: every name a sum can be filtered
 # on, declared with or certified by.  Census certificates name the first
 # yes/no entry, in this order, that separates a row's two witnesses.
-# planar comes last because it is the one entry that can run a K5/K3,3
-# witness search.  Each check names its function at call time, so a
+# planar comes last because it is the costliest entry: a non-planar sum
+# is minimised to a K5/K3,3 witness.  Each check names its function at call time, so a
 # wrapper installed over the module global sees every call.
 INVARIANTS: dict[str, Invariant] = {
     "k4": Invariant("sum contains K4", lambda g: contains_k4(g) is not None),
@@ -329,19 +330,8 @@ def invariant_value(g: Graph, name: str) -> object:
     return INVARIANTS[name].check(g)
 
 
-def satisfies(g: Graph, declared: Mapping[str, bool]) -> bool:
-    """True iff g has every declared {invariant name: value}, checked in
-    INVARIANTS order, so planar, the one check that can search, runs
-    last.  Only yes/no invariants can be declared, and only as True or
-    False.
-
-    Every filter (search leaves, fixtures, ladders) settles planarity
-    here by one rule.  planar=True is accepted only when proven_planar
-    proves it, and otherwise rejected with no Kuratowski search: a
-    filter claims nothing about the sums it rejects, so a rejection
-    needs no witness.  planar=False goes through is_planar, so every
-    accepted non-planar sum has a K5 or K3,3 subdivision witness.
-    """
+def _check_declared(declared: Mapping[str, bool]) -> None:
+    """Raise ValueError unless each key is a yes/no invariant, each value a bool."""
     for name, want in declared.items():
         if name not in INVARIANTS:
             raise ValueError(f"unknown invariant {name!r}")
@@ -349,6 +339,22 @@ def satisfies(g: Graph, declared: Mapping[str, bool]) -> bool:
             raise ValueError(f"invariant {name!r} is valued, not yes/no; it cannot be declared")
         if not isinstance(want, bool):
             raise ValueError(f"invariant {name!r} must be declared True or False, got {want!r}")
+
+
+def satisfies(g: Graph, declared: Mapping[str, bool]) -> bool:
+    """True iff g has every declared {invariant name: value}, checked in
+    INVARIANTS order, so planar, the costliest check, runs last.  Only
+    yes/no invariants can be declared, and only as True or False.
+
+    Every filter (search leaves, fixtures, ladders) settles planarity
+    here by one rule, on verdicts networkx proposes and the package
+    checks.  planar=True is accepted only when proven_planar proves it,
+    and otherwise rejected with no witness: a filter claims nothing
+    about the sums it rejects.  planar=False goes through is_planar, so
+    every accepted non-planar sum has a checked K5 or K3,3 witness.  A
+    proposal that fails its check raises RuntimeError (exit 2).
+    """
+    _check_declared(declared)
 
     def holds(name: str) -> bool:
         # planar=True is accepted on proof alone; a rejected sum needs no witness

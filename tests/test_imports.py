@@ -1,7 +1,7 @@
-"""networkx stays behind one call site.  It only proposes rotation
-systems, which the package verifies before it trusts them, so the
-package imports it exactly once, inside
-invariants._verified_rotation_system."""
+"""networkx stays behind one call site.  It only proposes planarity
+verdicts, a rotation system or "not planar", which the package checks
+before it trusts them, so the package imports it exactly once, inside
+invariants._rotation_system."""
 
 from __future__ import annotations
 
@@ -34,4 +34,4 @@ def test_networkx_is_imported_once_inside_the_rotation_verifier():
     for path in sorted(SRC.rglob("*.py")):
         module = ".".join(path.relative_to(SRC).with_suffix("").parts)
         sites += networkx_imports(ast.parse(path.read_text()), module)
-    assert sites == ["invariants._verified_rotation_system"]
+    assert sites == ["invariants._rotation_system"]

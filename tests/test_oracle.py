@@ -8,13 +8,15 @@ import time
 from concurrent.futures.process import BrokenProcessPool
 from itertools import permutations
 
+import networkx as nx
 import pytest
+from test_canonical_form import to_nx
+from test_planarity import scrambled
 
 from cyclepack.embedding import CycleType, make_sum, realize
 from cyclepack.fixtures import load_fixture
 from cyclepack.graph import Permutation, apply_permutation, build_graph, connected_components
-from cyclepack.invariants import is_planar
-from cyclepack import oracle
+from cyclepack import invariants, oracle
 from cyclepack.oracle import (
     CENSUS_LIMIT,
     SOFT_VERTEX_LIMIT,
@@ -110,8 +112,8 @@ def test_constraint_filters():
 
 
 def test_planar_filter_hits_the_first_planar_leaf():
-    # the filter accepts a planar sum on its verified rotation system alone,
-    # so its first hit must be the first reduced leaf is_planar calls planar
+    # the filter accepts a planar sum on its checked rotation system alone,
+    # so its first hit must be the first reduced leaf networkx calls planar
     misses = 0
     for ct in census_types(10):
         if ct.lengths in oracle.NOT_EMBEDDABLE_TYPES:
@@ -120,7 +122,7 @@ def test_planar_filter_hits_the_first_planar_leaf():
         first = []
 
         def visit(e):
-            if is_planar(make_sum(e).sum).planar:
+            if nx.check_planarity(to_nx(make_sum(e).sum))[0]:
                 first.append(e.perm)
                 return False
             return True
@@ -133,17 +135,20 @@ def test_planar_filter_hits_the_first_planar_leaf():
 
 
 def test_planar_declaration_needs_a_verified_rotation_system(monkeypatch):
-    # with no rotation system verified, no filter accepts a planar sum under
-    # either declaration, and a non-planar sum is still accepted on its witness
+    # a rotation system that fails its check is an error under either
+    # declaration, not a fallback, and a non-planar sum is still accepted
+    # on its witness
     planar = make_sum(load_fixture("c3c6-planar")).sum
     nonplanar = make_sum(load_fixture("c3c6-nonplanar")).sum
     g = realize(CycleType((3, 6)))
     first_nonplanar = find_embedding(g, SearchConstraints(require_planar=False), reduced=True)
-    monkeypatch.setattr("cyclepack.invariants._verified_rotation_system", lambda *args: False)
-    assert not satisfies(planar, {"planar": True})
-    assert not satisfies(planar, {"planar": False})
+    monkeypatch.setattr(invariants, "_rotation_system", scrambled)
+    for declared in ({"planar": True}, {"planar": False}):
+        with pytest.raises(RuntimeError, match="fails the face count"):
+            satisfies(planar, declared)
     assert satisfies(nonplanar, {"planar": False})
-    assert find_embedding(g, SearchConstraints(require_planar=True), reduced=True) is None
+    with pytest.raises(RuntimeError, match="fails the face count"):
+        find_embedding(g, SearchConstraints(require_planar=True), reduced=True)
     hit = find_embedding(g, SearchConstraints(require_planar=False), reduced=True)
     assert hit.perm == first_nonplanar.perm
 
@@ -370,6 +375,9 @@ def test_declared_values_must_be_true_or_false():
         satisfies(g, {"planar": "no"})
     with pytest.raises(ValueError, match="'k4' must be declared True or False, got 'yes'"):
         find_embedding(g, SearchConstraints(require_k4="yes"))
+    # refused when built, so also where the search reaches no leaf
+    with pytest.raises(ValueError, match="'k4' must be declared True or False, got 'yes'"):
+        find_embedding(realize(CycleType((3, 3))), SearchConstraints(require_k4="yes"))
     with pytest.raises(ValueError, match="cannot be declared"):
         satisfies(g, {"triangle-max": 3})
 
