@@ -8,7 +8,10 @@ sum), fixtures (regen or verify the committed packings).
 Exit codes: 0 success, 1 usage or parse error (including non-embeddable
 inputs, unknown fixture names and output paths that cannot be written),
 2 internal error or corrupted fixture, 3 census disagreement.
-The soft vertex limits can be lifted with CYCLEPACK_ALLOW_LARGE=1.
+classify --mode oracle and census take up to 24 vertices (the
+canonical-form limit) with no override; a search that can visit every
+leaf refuses more than 14 unless CYCLEPACK_ALLOW_LARGE=1 is set, and
+triangle-max refuses sums beyond 18.
 """
 
 from __future__ import annotations
@@ -165,15 +168,8 @@ def _cmd_pack(args) -> int:
 
 def _cmd_census(args) -> int:
     t0 = time.perf_counter()
-    if args.n_max < 3:
-        raise ValueError("n_max must be at least 3")
     if args.out:
         _check_writable(args.out)
-    if args.n_max > oracle.CENSUS_LIMIT and oracle._large_allowed():
-        print(
-            f"warning: census({args.n_max}) is expensive; largest types may take long",
-            file=sys.stderr,
-        )
     rep = oracle.census(args.n_max, jobs=args.jobs)
     rows = []
     for row in rep.rows:

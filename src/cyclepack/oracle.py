@@ -32,6 +32,7 @@ from enum import Enum
 from .embedding import CycleType, Embedding, make_sum, realize, recognize_two_factor
 from .graph import Graph, Permutation, bits, complement, connected_components, cut_vertices
 from .invariants import (
+    _CANON_MAX,
     canonical_form,
     contains_k4,
     has_p4_neighborhood_vertex,
@@ -42,15 +43,10 @@ from .invariants import (
 )
 
 SOFT_VERTEX_LIMIT = 14
-CENSUS_LIMIT = 14  # largest n_max a census runs without the override
 _ENV_OVERRIDE = "CYCLEPACK_ALLOW_LARGE"
 
 NOT_EMBEDDABLE_TYPES = {(3,), (4,), (3, 3)}
 UNIQUE_TYPES = {(5,), (6,), (3, 4), (3, 5), (3, 3, 3), (3, 3, 3, 3)}
-
-
-def _large_allowed() -> bool:
-    return bool(os.environ.get(_ENV_OVERRIDE))
 
 
 class Verdict(str, Enum):
@@ -135,7 +131,7 @@ def enumerate_embeddings(
     constraints = constraints or SearchConstraints()
     declared = constraints.declared()
     unbounded = constraints.limit is None and constraints.class_limit is None
-    if (declared or unbounded) and g.n > SOFT_VERTEX_LIMIT and not _large_allowed():
+    if (declared or unbounded) and g.n > SOFT_VERTEX_LIMIT and not os.environ.get(_ENV_OVERRIDE):
         kind = "filtered search (its filter may reject every leaf)" if declared else "exhaustive enumeration"
         raise ValueError(
             f"{kind} of n={g.n} exceeds the soft limit {SOFT_VERTEX_LIMIT}; "
@@ -261,14 +257,14 @@ def classify_by_theorem(ct: CycleType) -> Classification:
     return Classification(ct, Verdict.MULTIPLE)
 
 
-def classify_by_oracle(ct: CycleType, *, allow_large: bool = False) -> Classification:
+def classify_by_oracle(ct: CycleType) -> Classification:
     """Verdict by exhaustive (reduced) search, stopping once two distinct
-    sum classes are witnessed."""
-    if ct.total > SOFT_VERTEX_LIMIT and not (allow_large or _large_allowed()):
-        raise ValueError(
-            f"oracle classification of {ct} (n={ct.total}) exceeds the soft limit; "
-            f"set {_ENV_OVERRIDE}=1 to override"
-        )
+    sum classes are witnessed.  Takes every type up to _CANON_MAX (24)
+    vertices, the canonical-form limit, with no override and refuses a
+    larger one before any work; the soft limit 14 bounds only searches
+    that can visit every leaf, and 18 only triangle-max."""
+    if ct.total > _CANON_MAX:
+        raise ValueError(f"oracle classification is limited to n <= {_CANON_MAX}, got {ct} (n={ct.total})")
     g = realize(ct)
     out = sum_classes(g, class_limit=2)
     count = len(out.classes)
@@ -434,7 +430,7 @@ def _census_row(ct: CycleType) -> CensusRow:
 def _compute_census_row(ct: CycleType) -> CensusRow:
     start = time.perf_counter()
     theo = classify_by_theorem(ct)
-    orac = classify_by_oracle(ct, allow_large=True)
+    orac = classify_by_oracle(ct)
     certificate = None
     if len(orac.witnesses) == 2:
         s1 = make_sum(orac.witnesses[0]).sum
@@ -460,13 +456,15 @@ def _compute_census_row(ct: CycleType) -> CensusRow:
 def census(n_max: int, *, jobs: int = 1) -> CensusReport:
     """Theorem-vs-oracle comparison across every cycle type up to n_max vertices.
 
-    n_max beyond CENSUS_LIMIT needs CYCLEPACK_ALLOW_LARGE set.  jobs
-    worker processes share the rows; more than os.cpu_count() are never
-    started.  A worker that dies outright fails the census naming the
-    first row whose result was lost.
+    n_max runs from 3 to _CANON_MAX (24), the limit of oracle
+    classification, with no override; anything else is refused before the
+    first row.  The soft limit 14 bounds only searches that can visit
+    every leaf, and 18 only triangle-max.  jobs worker processes share the
+    rows; more than os.cpu_count() are never started.  A worker that dies
+    outright fails the census naming the first row whose result was lost.
     """
-    if n_max > CENSUS_LIMIT and not _large_allowed():
-        raise ValueError(f"census beyond n_max={CENSUS_LIMIT} needs {_ENV_OVERRIDE}=1")
+    if not 3 <= n_max <= _CANON_MAX:
+        raise ValueError(f"census n_max must be between 3 and {_CANON_MAX}, got {n_max}")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     jobs = min(jobs, os.cpu_count() or 1)

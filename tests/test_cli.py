@@ -218,18 +218,18 @@ def test_census_row_failure_exits_2_naming_the_type(capsys, monkeypatch):
     assert "census row C5 failed" in err
 
 
-def test_census_warns_only_beyond_the_limit(capsys, monkeypatch):
-    # without the override a census beyond the limit is refused, unwarned
-    monkeypatch.delenv(oracle._ENV_OVERRIDE, raising=False)
-    code, _, err = run(capsys, "census", str(oracle.CENSUS_LIMIT + 1))
-    assert code == 1 and "warning" not in err
-    small = oracle.census(3)
-    monkeypatch.setattr(cli.oracle, "census", lambda n_max, jobs=1: small)
-    _, _, err = run(capsys, "census", str(oracle.CENSUS_LIMIT))
-    assert "warning" not in err
-    monkeypatch.setenv(oracle._ENV_OVERRIDE, "1")
-    _, _, err = run(capsys, "census", str(oracle.CENSUS_LIMIT + 1))
-    assert "is expensive" in err
+@pytest.mark.parametrize("override", [None, "1"])
+def test_oracle_refuses_past_24_before_any_work(capsys, monkeypatch, override):
+    # 24 is the canonical-form limit, and the override does not lift it
+    if override is None:
+        monkeypatch.delenv("CYCLEPACK_ALLOW_LARGE", raising=False)
+    else:
+        monkeypatch.setenv("CYCLEPACK_ALLOW_LARGE", override)
+    monkeypatch.setattr(oracle, "_compute_census_row", lambda ct: pytest.fail("a census row ran"))
+    monkeypatch.setattr(oracle, "enumerate_embeddings", lambda *a, **k: pytest.fail("a search ran"))
+    for argv in (("census", "25"), ("classify", "C25", "--mode", "oracle")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "") and "24" in err and "CYCLEPACK_ALLOW_LARGE" not in err, argv
 
 
 def test_export_writes_dot(tmp_path, capsys):

@@ -18,7 +18,6 @@ from cyclepack.fixtures import load_fixture
 from cyclepack.graph import Permutation, apply_permutation, build_graph, connected_components
 from cyclepack import invariants, oracle
 from cyclepack.oracle import (
-    CENSUS_LIMIT,
     SOFT_VERTEX_LIMIT,
     Classification,
     SearchConstraints,
@@ -256,10 +255,10 @@ def fail_row(monkeypatch, rendered: str) -> None:
     """Make the census row of one cycle type raise a ValueError deep inside."""
     real = oracle.classify_by_oracle
 
-    def classify(ct, **kwargs):
+    def classify(ct):
         if ct.render() == rendered:
             raise ValueError("deliberate failure")
-        return real(ct, **kwargs)
+        return real(ct)
 
     monkeypatch.setattr(oracle, "classify_by_oracle", classify)
 
@@ -307,10 +306,12 @@ def test_soft_limits(monkeypatch):
     monkeypatch.delenv("CYCLEPACK_ALLOW_LARGE", raising=False)
     with pytest.raises(ValueError):
         enumerate_embeddings(realize(CycleType((SOFT_VERTEX_LIMIT + 1,))))
-    with pytest.raises(ValueError):
-        classify_by_oracle(CycleType((SOFT_VERTEX_LIMIT + 1,)))
-    with pytest.raises(ValueError):
-        census(CENSUS_LIMIT + 1)
+    # oracle classification and the census are held to the canonical-form limit instead
+    limit = invariants._CANON_MAX
+    with pytest.raises(ValueError, match=f"n <= {limit}"):
+        classify_by_oracle(CycleType((limit + 1,)))
+    with pytest.raises(ValueError, match=f"between 3 and {limit}"):
+        census(limit + 1)
     large = realize(CycleType((SOFT_VERTEX_LIMIT + 1,)))
     with pytest.raises(ValueError, match="soft limit"):
         sum_classes(large)
@@ -325,6 +326,36 @@ def test_soft_limits(monkeypatch):
     )
     assert out.visited == 1
     assert find_embedding(large, SearchConstraints(require_connected=True)) is not None
+
+
+def test_oracle_classifies_to_the_canonical_limit_without_override(monkeypatch):
+    monkeypatch.delenv("CYCLEPACK_ALLOW_LARGE", raising=False)
+    limit = invariants._CANON_MAX
+    for lengths in ((limit,), (3, limit - 3)):
+        cls = classify_by_oracle(CycleType(lengths))
+        assert (cls.verdict, cls.class_count, cls.exhausted) == (Verdict.MULTIPLE, 2, False), lengths
+
+
+@pytest.mark.parametrize("n_max", [2, -4])
+def test_census_below_3_is_refused_not_an_empty_agreement(n_max):
+    with pytest.raises(ValueError, match=f"between 3 and {invariants._CANON_MAX}, got {n_max}"):
+        census(n_max)
+
+
+def test_census_classifies_each_row_through_the_module_global(monkeypatch):
+    # the benchmark harness wraps oracle.classify_by_oracle to capture each
+    # row's witnesses, so the census must call that global with the type alone
+    calls = []
+    real = oracle.classify_by_oracle
+
+    def classify(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "classify_by_oracle", classify)
+    rep = census(5)
+    assert calls == [((row.cycle_type,), {}) for row in rep.rows]
+    assert len(calls) == 3
 
 
 def test_constrained_search_skips_soft_limit():
