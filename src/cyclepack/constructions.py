@@ -359,24 +359,17 @@ def cross_packing_33_6() -> Embedding:
 # ------------------------------------------------------------ divide & pack
 
 
-def _splits(ct: CycleType):
-    """Unordered splits of the cycle multiset into two nonempty parts,
-    deterministically ordered, each part sorted."""
+def _first_split(ct: CycleType) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """First split of the cycle multiset into two nonempty parts, both
+    embeddable, in cycle-index bitmask order, each part sorted and the
+    lexicographically smaller part first."""
     k = ct.cycle_count
-    seen = set()
     for mask in range(1, (1 << k) - 1):
         part1 = tuple(sorted(ct.lengths[i] for i in range(k) if mask >> i & 1))
         part2 = tuple(sorted(ct.lengths[i] for i in range(k) if not mask >> i & 1))
-        key = (part1, part2) if part1 <= part2 else (part2, part1)
-        if key in seen:
-            continue
-        seen.add(key)
-        yield key
-
-
-def _first_split(ct: CycleType) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    """First split in _splits order whose two parts are both embeddable."""
-    return next((split for split in _splits(ct) if NOT_EMBEDDABLE_TYPES.isdisjoint(split)), None)
+        if NOT_EMBEDDABLE_TYPES.isdisjoint((part1, part2)):
+            return (part1, part2) if part1 <= part2 else (part2, part1)
+    return None
 
 
 def divide_and_pack(ct: CycleType, split: tuple[tuple[int, ...], tuple[int, ...]] | None = None) -> Embedding:
@@ -460,9 +453,6 @@ def _rewire(g: Graph, n: int, drop, paths) -> Graph:
     return build_graph(n, edges)
 
 
-_LADDER_CACHE: dict[tuple[str, int], Embedding] = {}
-
-
 def ladder_extend(template: str, l: int) -> Embedding:
     """Lengthen the longest cycle of a fixture's packing by 2l while
     keeping every invariant the fixture declares.
@@ -488,8 +478,6 @@ def ladder_extend(template: str, l: int) -> Embedding:
         raise ValueError(f"unknown ladder base {template!r}; a ladder extends a fixture")
     if l < 1:
         raise ValueError(f"ladder depth must be at least 1, got {l}")
-    if (template, l) in _LADDER_CACHE:
-        return _LADDER_CACHE[(template, l)]
 
     base = load_fixture(template)
     ct = CycleType(spec.cycle_type)
@@ -523,9 +511,7 @@ def ladder_extend(template: str, l: int) -> Embedding:
                 if not satisfies(s, spec.invariants):
                     continue
                 step = _step("ladder", cycle_type=list(new_ct.lengths), template=template, l=l)
-                e = e.with_trace((step,))
-                _LADDER_CACHE[(template, l)] = e
-                return e
+                return e.with_trace((step,))
     raise ValueError(f"no placement extends {template} by l={l} with {spec.invariants}")
 
 
@@ -561,7 +547,8 @@ def _invariant_pair(ct, first, second, key) -> DistinctPair:
     "<label>: v1 vs v2"."""
     v1 = invariant_value(make_sum(first).sum, key)
     v2 = invariant_value(make_sum(second).sum, key)
-    assert v1 != v2, f"{key} fails to separate the two packings of {ct}"
+    if v1 == v2:
+        raise RuntimeError(f"{key} fails to separate the two packings of {ct}")
     return DistinctPair(ct, first, second, key, f"{INVARIANTS[key].label}: {v1} vs {v2}")
 
 

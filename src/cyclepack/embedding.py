@@ -11,7 +11,9 @@ considered distinct when their packing sums are non-isomorphic.
 
 from __future__ import annotations
 
+import math
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .graph import Graph, Permutation, apply_permutation, build_graph, edge_sum
@@ -59,24 +61,10 @@ class CycleType:
         return out
 
     def automorphism_count(self) -> int:
-        """Order of the automorphism group of the realized graph.
-
-        Each m-cycle contributes a dihedral factor 2m and equal-length
-        cycles may be permuted among themselves.
-        """
-        total = 1
-        run = 0
-        prev = None
-        for m in list(self.lengths) + [None]:
-            if m == prev:
-                run += 1
-                continue
-            if prev is not None:
-                total *= (2 * prev) ** run
-                for i in range(2, run + 1):
-                    total *= i
-            prev, run = m, 1
-        return total
+        """Order of the automorphism group of the realized graph: the
+        product over lengths m of (2m)^k * k!, k the number of m-cycles,
+        a dihedral factor per cycle and the permutations of equal ones."""
+        return math.prod((2 * m) ** k * math.factorial(k) for m, k in Counter(self.lengths).items())
 
 
 def parse_cycle_type(text: str) -> CycleType:

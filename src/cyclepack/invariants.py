@@ -290,8 +290,6 @@ def _unsettled_blocks(g: Graph):
     cyclomatic number nor a checked rotation system proves planar; any
     Kuratowski subdivision lives in one of these."""
     for block in biconnected_blocks(g):
-        if len(block) < 5:
-            continue
         bmask = sum(1 << v for v in block)
         if sum((g.adj[v] & bmask).bit_count() for v in block) <= 2 * (len(block) + 2):
             continue

@@ -9,10 +9,16 @@ For a canonically realized union of cycles the search can quotient away
 the host's automorphisms ("reduced" mode): within each cycle block the
 first vertex must receive the smallest image of its block and the second
 vertex a smaller image than the last one, and equal-length blocks must
-receive images with ascending minima.  Each edge-disjoint image edge set
-is then visited through exactly one permutation, which divides the raw
-count by the automorphism order without affecting the set of sum
-isomorphism classes.
+receive images with ascending minima (_reduction_bounds, the one place
+that decides whether g is that realization).  Each image edge set is
+then visited exactly once, through its lexicographically least packing,
+the one constructions.embedding_from_red_edges builds from the image,
+and in the full search's order.  So the raw leaf count is the reduced
+one times CycleType.automorphism_count(), and reduced mode changes only
+leaves, visited and what visit sees: never a first hit, a class witness
+or a class count.  On a relabelled 2-factor, bounds read from its own
+cycles still keep one packing per edge set but not always the least, so
+a first hit could move; only the canonical realization is reduced.
 
 Classification compares this oracle against the closed-form verdict
 table: embeddability fails exactly for C3, C4 and C3+C3; of the
@@ -93,8 +99,13 @@ class SearchOutcome:
     classes: dict[bytes, Embedding] = field(default_factory=dict)
 
 
-def _reduction_bounds(ct: CycleType) -> list[int | None]:
-    """lb[v] = earlier vertex whose image must stay below image[v], else None."""
+def _reduction_bounds(g: Graph) -> list[int | None] | None:
+    """lb[v] = earlier vertex whose image must stay below image[v], else
+    None; None in place of the list when g is not the canonical
+    realization of its cycle type."""
+    ct = recognize_two_factor(g)
+    if ct is None or realize(ct) != g:
+        return None
     lb: list[int | None] = [None] * ct.total
     prev_start: int | None = None
     prev_len: int | None = None
@@ -121,7 +132,8 @@ def enumerate_embeddings(
     visit(e) is called for each embedding passing the constraints; a
     False return stops the search.  reduced=True requires g to be the
     canonical realization of its cycle type and then visits one
-    permutation per image edge set.
+    permutation per image edge set, under the contract in the module
+    docstring.
 
     A search that can run through every leaf, because it has no stop
     rule or because a declared filter may reject every leaf, refuses g
@@ -137,12 +149,9 @@ def enumerate_embeddings(
             f"{kind} of n={g.n} exceeds the soft limit {SOFT_VERTEX_LIMIT}; "
             f"set {_ENV_OVERRIDE}=1 to override"
         )
-    lb: list[int | None] = [None] * g.n
-    if reduced:
-        ct = recognize_two_factor(g)
-        if ct is None or realize(ct) != g:
-            raise ValueError("reduced mode requires the canonical realization of a cycle type")
-        lb = _reduction_bounds(ct)
+    lb = _reduction_bounds(g) if reduced else [None] * g.n
+    if lb is None:
+        raise ValueError("reduced mode requires the canonical realization of a cycle type")
 
     n = g.n
     adj = g.adj
@@ -206,7 +215,9 @@ def find_embedding(
     *,
     reduced: bool = False,
 ) -> Embedding | None:
-    """First embedding in deterministic search order satisfying the constraints."""
+    """First embedding in deterministic search order satisfying the
+    constraints; reduced mode returns the same one (see the module
+    docstring)."""
     base = constraints or SearchConstraints()
     limited = replace(base, limit=1, class_limit=None)
     hit: list[Embedding] = []
@@ -221,11 +232,11 @@ def sum_classes(g: Graph, *, class_limit: int | None = None) -> SearchOutcome:
     without class_limit g is held to the soft vertex limit; the classes
     dict maps canonical forms to first-found witnesses in deterministic
     order.  The search runs in reduced mode when g is a canonical
-    cycle-type realization.
+    cycle-type realization, which changes only the leaf count (see the
+    module docstring).
     """
-    ct = recognize_two_factor(g)
-    reduced = ct is not None and realize(ct) == g
     constraints = SearchConstraints(class_limit=class_limit)
+    reduced = _reduction_bounds(g) is not None
     return enumerate_embeddings(g, constraints, reduced=reduced, track_classes=True)
 
 

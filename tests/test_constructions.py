@@ -7,6 +7,7 @@ import re
 
 import pytest
 
+from cyclepack import constructions
 from cyclepack.constructions import (
     choose_coprime_shift,
     cross_packing_33_6,
@@ -303,6 +304,13 @@ def test_two_distinct_embeddings_to_10():
             for e in laddered:
                 assert e.trace[0].op == "ladder", ct
                 assert e.trace[0].params["cycle_type"] == list(ct.lengths)
+
+
+def test_a_pair_its_invariant_does_not_separate_is_refused(monkeypatch):
+    """The separation check is an error, not an assert, so python -O keeps it."""
+    monkeypatch.setattr(constructions, "invariant_value", lambda g, name: 0)
+    with pytest.raises(RuntimeError, match="k4 fails to separate the two packings of C3\\+C3\\+C4"):
+        two_distinct_embeddings(CycleType((3, 3, 4)))
 
 
 # every op replay_trace handles

@@ -13,6 +13,7 @@ import pytest
 from test_canonical_form import to_nx
 from test_planarity import scrambled
 
+from cyclepack.constructions import embedding_from_red_edges
 from cyclepack.embedding import CycleType, make_sum, realize
 from cyclepack.fixtures import load_fixture
 from cyclepack.graph import Permutation, apply_permutation, build_graph, connected_components
@@ -62,6 +63,42 @@ def test_raw_count_is_reduced_times_automorphisms():
         raw = enumerate_embeddings(g).leaves
         red = enumerate_embeddings(g, reduced=True).leaves
         assert raw == red * ct.automorphism_count(), lengths
+
+
+def test_reduced_mode_visits_the_least_packing_of_each_image_edge_set():
+    """The reduced-mode contract of the oracle docstring, leaf by leaf: the
+    reduced leaves are the first full-search leaf of each image edge set,
+    in order, and each is the packing embedding_from_red_edges builds."""
+    for lengths in ALL_TYPES_TO_7 + [(3, 5), (4, 4), (8,)]:
+        ct = CycleType(lengths)
+        g = realize(ct)
+        first_of_each = {}
+
+        def visit(e):
+            first_of_each.setdefault(e.red_graph(), e)
+
+        enumerate_embeddings(g, visit=visit)
+        reduced = []
+        enumerate_embeddings(g, visit=reduced.append, reduced=True)
+        assert reduced == list(first_of_each.values()), lengths
+        for e in reduced:
+            assert e.perm == embedding_from_red_edges(ct, e.red_graph()).perm, (lengths, e.perm)
+
+
+@pytest.mark.parametrize("lengths", ALL_TYPES_TO_7, ids=lambda t: CycleType(t).render())
+def test_reduced_mode_keeps_every_witness_and_first_hit(lengths):
+    """Reduced mode changes the leaf count but never an answer."""
+    ct = CycleType(lengths)
+    g = realize(ct)
+    full = enumerate_embeddings(g, track_classes=True)
+    reduced = sum_classes(g)
+    assert reduced.leaves * ct.automorphism_count() == full.leaves  # sum_classes reduced
+    assert list(reduced.classes.items()) == list(full.classes.items())
+    for name in ("require_planar", "require_k4", "require_connected"):
+        for want in (True, False):
+            constraints = SearchConstraints(**{name: want})
+            hit = find_embedding(g, constraints)
+            assert find_embedding(g, constraints, reduced=True) == hit, (name, want)
 
 
 def test_c5_embedding_counts():
