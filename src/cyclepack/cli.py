@@ -10,8 +10,9 @@ inputs, unknown fixture names and output paths that cannot be written),
 2 internal error or corrupted fixture, 3 census disagreement.
 classify --mode oracle and census take up to 24 vertices (the
 canonical-form limit) with no override; a search that can visit every
-leaf refuses more than 14 unless CYCLEPACK_ALLOW_LARGE=1 is set, and
-triangle-max refuses sums beyond 18.
+leaf refuses more than 14 unless CYCLEPACK_ALLOW_LARGE=1 is set,
+triangle-max refuses sums beyond 18, and pack and export refuse more
+than PACK_VERTEX_LIMIT (10 000) vertices before building any graph.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ import time
 from . import constructions, fixtures, oracle, report
 from .embedding import CycleType, make_sum, parse_cycle_type
 
+# graph rows are bitsets, about n^2/16 bytes in all: 17 MB for C4000
+PACK_VERTEX_LIMIT = 10_000
 STRATEGIES = ("auto", "rotation", "k4", "triangles", "bxy", "divide", "search")
 # the strategies that read each pack/export option; any other refuses it
 _READERS = {
@@ -123,6 +126,8 @@ def _cmd_classify(args) -> int:
 
 
 def _packing_for(ct: CycleType, args):
+    if ct.total > PACK_VERTEX_LIMIT:
+        raise ValueError(f"{ct.render()} has {ct.total} vertices; pack and export take at most {PACK_VERTEX_LIMIT}")
     strategy = args.strategy
     for option, readers in _READERS.items():
         if getattr(args, option) is not None and strategy not in readers:

@@ -16,10 +16,13 @@ planarity, cut vertices, a vertex whose open neighbourhood induces P4,
 and the maximum number of triangles an induced subset of given size can
 carry.
 
-Planarity has one trust chain in both directions: networkx proposes,
-the package checks a planar verdict's rotation system by a face count
-and a non-planar one's K5 or K3,3 subdivision.  A proposal that fails
-its check raises RuntimeError, which the CLI maps to exit 2.
+Planarity has one trust chain in both directions.  The first proof of
+non-planarity is a count: a block with fewer triangles than Euler's
+formula demands of a plane one is not planar.  networkx proposes a
+verdict only for the blocks the count leaves open, and the package
+checks a planar verdict's rotation system by a face count and a
+non-planar one's K5 or K3,3 subdivision.  A proposal that fails its
+check raises RuntimeError, which the CLI maps to exit 2.
 """
 
 from __future__ import annotations
@@ -261,11 +264,13 @@ def is_planar(g: Graph) -> PlanarityResult:
     subdivision witness, a planar one rests on checked rotation systems.
 
     A biconnected block with cyclomatic number <= 3 cannot host a K3,3
-    (cyclomatic 4) or K5 (cyclomatic 6) subdivision.  networkx proposes
-    a verdict for every other block.  The package checks a rotation
-    system by a face count and cuts a subdivision out of a non-planar
-    block (_kuratowski_witness).  A proposal that fails its check
-    raises RuntimeError (exit 2 from the CLI).
+    (cyclomatic 4) or K5 (cyclomatic 6) subdivision.  A larger block
+    with fewer triangles than a plane block must bound is non-planar by
+    that count alone; networkx proposes a verdict for every other
+    block.  The package checks a rotation system by a face count and
+    cuts a subdivision out of each non-planar block
+    (_kuratowski_witness).  A proposal that fails its check raises
+    RuntimeError (exit 2 from the CLI).
     """
     for edges in _unsettled_blocks(g):
         return PlanarityResult(False, *_kuratowski_witness(edges))
@@ -276,11 +281,12 @@ def proven_planar(g: Graph) -> bool:
     """True iff every block of g is planar by its size or by a checked
     rotation system, the proofs is_planar takes before any witness.
 
-    One-sided: True proves planarity, False proves nothing.  It is how
-    oracle.satisfies accepts a declared planar sum; a filter claims
-    nothing about what it rejects.  A rotation system that fails its
-    check raises RuntimeError.  Every printed verdict goes through
-    is_planar.
+    A block the triangle count rules out makes it False with no
+    networkx call.  One-sided: True proves planarity, False proves
+    nothing.  It is how oracle.satisfies accepts a declared planar sum;
+    a filter claims nothing about what it rejects.  A rotation system
+    that fails its check raises RuntimeError.  Every printed verdict
+    goes through is_planar.
     """
     return next(_unsettled_blocks(g), None) is None
 
@@ -288,17 +294,30 @@ def proven_planar(g: Graph) -> bool:
 def _unsettled_blocks(g: Graph):
     """Edge tuple of each biconnected block, in order, that neither its
     cyclomatic number nor a checked rotation system proves planar; any
-    Kuratowski subdivision lives in one of these."""
+    Kuratowski subdivision lives in one of these.  A block with too few
+    triangles to be plane is yielded on that count, and networkx is
+    asked only about the blocks the count leaves open."""
     for block in biconnected_blocks(g):
         bmask = sum(1 << v for v in block)
         if sum((g.adj[v] & bmask).bit_count() for v in block) <= 2 * (len(block) + 2):
             continue
         edges = tuple((u, v) for u in sorted(block) for v in bits(g.adj[u] & bmask) if u < v)
+        if _too_few_triangles(g, bmask, edges):
+            yield edges
+            continue
         rotation = _rotation_system(edges)
         if rotation is None:
             yield edges
         else:
             _check_rotation(edges, rotation)
+
+
+def _too_few_triangles(g: Graph, bmask: int, edges) -> bool:
+    """True if the 2-connected block on these edges (vertex mask bmask,
+    n >= 4) has too few triangles to be planar."""
+    # Euler: f = e - n + 2 faces of length >= 3 sum to 2e, so >= 2e - 4n + 8 bound distinct triangles
+    triangles = sum((g.adj[u] & g.adj[v] & bmask).bit_count() for u, v in edges) // 3
+    return triangles < 2 * len(edges) - 4 * bmask.bit_count() + 8
 
 
 def _rotation_system(edges) -> dict[int, list[int]] | None:

@@ -101,13 +101,29 @@ def test_usage_errors_exit_1(tmp_path, capsys, monkeypatch):
 
 
 def test_large_first_hit_packings(capsys, monkeypatch):
-    # an unfiltered first-hit search has no vertex limit, and the search
-    # depth is not bounded by the interpreter's recursion limit
+    # an unfiltered first-hit search needs no override below pack's size
+    # bound, and the search depth is not bounded by the recursion limit
     monkeypatch.delenv("CYCLEPACK_ALLOW_LARGE", raising=False)
     for argv in (("C3+C1200",), ("C4+C1100",), ("C3+C3+C1200",), ("C1100", "--strategy", "k4")):
         code, out, err = run(capsys, "pack", *argv)
         assert (code, err) == (0, ""), argv
         assert load_document(out)["cycle_type"] == argv[0]
+
+
+class Unreachable:
+    def __getattr__(self, name):
+        raise AssertionError(f"constructions.{name} was reached")
+
+
+@pytest.mark.parametrize("ct", ["C10001", "C99999999999999999999", "C3+C9998"])
+def test_pack_and_export_refuse_oversized_types_before_building_a_graph(tmp_path, capsys, monkeypatch, ct):
+    # every strategy builds its packing in constructions, so a missing bound
+    # fails here (exit 2) before a single row is allocated
+    monkeypatch.setattr(cli, "constructions", Unreachable())
+    for argv in (("pack", ct), ("export", ct, "--dot", str(tmp_path / "sum.dot"))):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert f"at most {cli.PACK_VERTEX_LIMIT}" in err
 
 
 def test_help_exits_0(capsys):

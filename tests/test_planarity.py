@@ -96,11 +96,19 @@ def reference_has_subdivision(g: Graph) -> bool:
 
 def checked_result(g: Graph):
     """is_planar's result, held to networkx's verdict, to proven_planar
-    and, when non-planar, to the test-side witness check."""
+    and, when non-planar, to the test-side witness check; every block
+    the triangle count rules out must be non-planar by networkx."""
+    h = to_nx(g)
+    for comp in nx.biconnected_components(h):
+        block = h.subgraph(comp)
+        bmask = sum(1 << v for v in comp)
+        edges = list(block.edges())
+        if len(edges) - len(comp) + 1 > 3 and invariants._too_few_triangles(g, bmask, edges):
+            assert not nx.check_planarity(block)[0]
     res = is_planar(g)
     # the planar filter accepts on proven_planar alone, so it must prove every planar graph
     assert proven_planar(g) == res.planar
-    assert res.planar == nx.check_planarity(to_nx(g))[0]
+    assert res.planar == nx.check_planarity(h)[0]
     if not res.planar:
         check_subdivision_witness(g, res)
     return res
@@ -200,7 +208,9 @@ def test_a_failed_check_exits_2(monkeypatch, capsys, no_memo, lie, planar):
     assert "RuntimeError" in capsys.readouterr().err
 
 
-def test_a_repeated_non_planar_sum_is_minimised_once(monkeypatch, no_memo):
+def repeated_is_planar_calls(monkeypatch, fixture: str) -> tuple[int, int]:
+    """(networkx calls of is_planar on a non-planar fixture sum, calls in
+    all once is_planar has run again on an equal graph built anew)."""
     calls = []
 
     def counted(edges):
@@ -208,12 +218,37 @@ def test_a_repeated_non_planar_sum_is_minimised_once(monkeypatch, no_memo):
         return real_rotation_system(edges)
 
     monkeypatch.setattr(invariants, "_rotation_system", counted)
-    g = make_sum(load_fixture("c3c6-nonplanar")).sum
+    g = make_sum(load_fixture(fixture)).sum
     first = is_planar(g)
     minimised = len(calls)
-    # an equal graph, built anew, needs only networkx's verdict
     assert is_planar(build_graph(g.n, g.edges())) == first
-    assert not first.planar and minimised > 1 and len(calls) == minimised + 1
+    assert not first.planar and minimised > 1
+    return minimised, len(calls)
+
+
+def test_a_repeated_non_planar_sum_is_minimised_once(monkeypatch, no_memo):
+    # the block has 8 triangles, as many as a plane block must, so the
+    # repeat needs networkx's verdict, and only that
+    minimised, total = repeated_is_planar_calls(monkeypatch, "c4c5-nonplanar")
+    assert total == minimised + 1
+
+
+def test_a_repeated_sum_the_triangle_count_rules_out_asks_networkx_nothing(monkeypatch, no_memo):
+    # 7 triangles, below the 8 a plane block on 9 vertices and 18 edges
+    # must carry: the repeat takes its verdict from the count alone
+    minimised, total = repeated_is_planar_calls(monkeypatch, "c3c6-nonplanar")
+    assert total == minimised
+
+
+@pytest.mark.parametrize("name", ["octahedron", "c3c6-planar", "c3c7-planar", "c4c5-planar", "c4c6-planar"])
+def test_planar_sums_meeting_the_triangle_bound_exactly_stay_planar(name):
+    # 4-regular, so 2e - 4n + 8 = 8: each has exactly as many triangles as a
+    # plane 4-regular block must, and the count must not rule it out
+    g = build_graph(6, nx.octahedral_graph().edges()) if name == "octahedron" else make_sum(load_fixture(name)).sum
+    n, e = g.n, g.edge_count
+    assert sum(nx.triangles(to_nx(g)).values()) // 3 == 2 * e - 4 * n + 8 == 8
+    assert not invariants._too_few_triangles(g, (1 << n) - 1, g.edges())
+    assert checked_result(g).planar
 
 
 # ---------------------------------------------- the package's witness check
