@@ -5,10 +5,11 @@ least two non-isomorphic packing sums.
 Every function returns a validated Embedding carrying a replayable
 construction trace.  The constructions are verified by the checker and,
 where they claim a structural invariant (K4 present/absent, planar or
-not, bipartite or not, cut vertex or not), that claim is asserted here
-rather than trusted.  two_distinct_embeddings separates its pair by one
-invariant of oracle.INVARIANTS, the registry of invariant names,
-certificate labels and checks, and certifies it as "<label>: v1 vs v2".
+not, bipartite or not, cut vertex or not), that claim is checked here
+rather than trusted; a failed check raises RuntimeError, also under
+python -O.  two_distinct_embeddings separates its pair by one invariant
+of oracle.INVARIANTS, the registry of invariant names, certificate
+labels and checks, and certifies it as "<label>: v1 vs v2".
 
 Routes:
   * rotations of a single n-cycle by a shift r coprime to n (K4-free
@@ -111,7 +112,8 @@ def choose_coprime_shift(n: int) -> int:
         raise ValueError(f"prime-complement shift needs even n >= 8, got {n}")
     p = next(k for k in range(n - 3, n // 2, -1) if _is_prime(k))
     r = n - p
-    assert 3 <= r <= n // 2 - 1 and math.gcd(r, n) == 1
+    if not (3 <= r <= n // 2 - 1 and math.gcd(r, n) == 1):
+        raise RuntimeError(f"prime-complement shift {r} for n={n} is not coprime to n within 3..n/2-1")
     return r
 
 
@@ -163,7 +165,8 @@ def k4_embedding(ct: CycleType, cycle_index: int | None = None, offset: int = 0)
         (new_of[u], new_of[v]) for u, v in g.edges() if u not in removed and v not in removed
     ]
     remainder = build_graph(len(keep), rem_edges)
-    assert remainder.edge_count <= remainder.n - 1
+    if remainder.edge_count > remainder.n - 1:
+        raise RuntimeError(f"the remainder of {ct} without four cycle vertices has more than n - 1 edges")
 
     inner = find_embedding(remainder)
     if inner is None:
@@ -192,7 +195,8 @@ def k4_embedding(ct: CycleType, cycle_index: int | None = None, offset: int = 0)
     quad = sorted(a)
     for i in range(4):
         for j in range(i + 1, 4):
-            assert s.has_edge(quad[i], quad[j]), "removed vertices do not induce a K4"
+            if not s.has_edge(quad[i], quad[j]):
+                raise RuntimeError("removed vertices do not induce a K4")
     return e
 
 
@@ -220,7 +224,8 @@ def merge_components(e: Embedding) -> Embedding:
     trace = e.trace + (_step("merge", swap=[y1, y2]),)
     merged = Embedding(e.graph, Permutation(image), trace)
     after = len(connected_components(make_sum(merged).sum))
-    assert after == before - 1, "merge must reduce the component count by exactly one"
+    if after != before - 1:
+        raise RuntimeError("merge must reduce the component count by exactly one")
     return merged
 
 
@@ -252,7 +257,8 @@ def _onto_cycles(ct: CycleType, cycles, trace: tuple) -> Embedding:
     vertex in the listed order."""
     image = [0] * ct.total
     for (start, m), cyc in zip(ct.blocks(), cycles):
-        assert m == len(cyc)
+        if m != len(cyc):
+            raise RuntimeError(f"image cycle {cyc} does not have the length {m} of its black cycle")
         image[start : start + m] = cyc
     return Embedding(realize(ct), Permutation(tuple(image)), trace)
 
@@ -311,7 +317,7 @@ def bxy_packing(ct: CycleType, variant: str) -> Embedding:
 
     The bipartite variant keeps the sum 2-coloured; the nonbipartite
     variant routes one image cycle across two black cycles, creating a
-    K4.  Both claims are asserted.
+    K4.  Both claims are checked.
     """
     table = _BXY_CYCLES.get(ct.lengths)
     if table is None:
@@ -320,7 +326,8 @@ def bxy_packing(ct: CycleType, variant: str) -> Embedding:
         raise ValueError(f"variant must be one of {sorted(table)}, got {variant!r}")
     trace = (_step("crossed-blocks", cycle_type=list(ct.lengths), variant=variant),)
     e = _onto_cycles(ct, table[variant], trace)
-    assert is_bipartite(make_sum(e).sum).bipartite == (variant == "bipartite")
+    if is_bipartite(make_sum(e).sum).bipartite != (variant == "bipartite"):
+        raise RuntimeError(f"the {variant} crossed-block packing of {ct} fails its bipartite claim")
     return e
 
 
@@ -352,7 +359,8 @@ def cross_packing_33_6() -> Embedding:
     perm = Permutation((6, 8, 10, 7, 9, 11, 0, 3, 1, 4, 2, 5))
     trace = (_step("cross-3-3-6", cycle_type=[3, 3, 6]),)
     e = Embedding(realize(ct), perm, trace)
-    assert len(connected_components(make_sum(e).sum)) == 2
+    if len(connected_components(make_sum(e).sum)) != 2:
+        raise RuntimeError("the crossed C3+C3+C6 packing does not have a sum of two components")
     return e
 
 
@@ -402,7 +410,8 @@ def divide_and_pack(ct: CycleType, split: tuple[tuple[int, ...], tuple[int, ...]
         _step("divide", cycle_type=list(ct.lengths), split=[list(part1), list(part2)]),
     )
     e = Embedding(realize(ct), perm, trace)
-    assert len(connected_components(make_sum(e).sum)) >= 2
+    if len(connected_components(make_sum(e).sum)) < 2:
+        raise RuntimeError(f"the divided packing of {ct} has a connected sum")
     return e
 
 
@@ -566,7 +575,8 @@ def _second_class_search(ct: CycleType, first: Embedding) -> Embedding:
     want_not = canonical_form(make_sum(first).sum)
     classes = sum_classes(first.graph, class_limit=2).classes
     hit = next((e for cf, e in classes.items() if cf != want_not), None)
-    assert hit is not None, "no second sum class found"
+    if hit is None:
+        raise RuntimeError(f"no second sum class found for {ct}")
     step = _step(
         "search-second-class",
         cycle_type=list(ct.lengths),

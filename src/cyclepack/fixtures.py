@@ -5,11 +5,14 @@ committed as JSON next to this module.  A fixture pins a permutation
 together with the invariant values that make it useful as one half of a
 distinguishable pair (planar vs not, K4 vs K4-free, cut vertex vs
 2-connected, neighbourhood-path vs not); the declared names are yes/no
-entries of oracle.INVARIANTS.  Loading revalidates the embedding and
-re-asserts every declared invariant, so a corrupted or stale file fails
-loudly instead of silently weakening a proof.  The fixtures are also the
-ladder bases: constructions.ladder_extend reads a base's cycle type and
-declared invariants from its FixtureSpec.
+entries of oracle.INVARIANTS.  Every load checks that the file holds
+the canonical bytes of a valid packing, which pin every stored field
+but the permutation to the spec, and that the packing's sum has every
+declared invariant, so a corrupted, reformatted or stale file fails
+loudly instead of silently weakening a proof.  verify_fixture is the
+same load without the cache.  The fixtures are also the ladder bases:
+constructions.ladder_extend reads a base's cycle type and declared
+invariants from its FixtureSpec.
 """
 
 from __future__ import annotations
@@ -125,33 +128,27 @@ def regen_fixture(name: str) -> Path:
 
 
 def load_fixture(name: str) -> Embedding:
-    """Load a fixture, revalidating the embedding and its declared invariants."""
+    """Load a fixture, checking its file's canonical bytes and declared invariants."""
     if name in _CACHE:
         return _CACHE[name]
     spec = _spec(name)
     path = fixture_path(name)
     if not path.exists():
         raise FixtureError(f"fixture file {path.name} is missing; run the regen command")
+    stored = path.read_text()
     try:
-        record = json.loads(path.read_text())
+        record = json.loads(stored)
     except json.JSONDecodeError as exc:
         raise FixtureError(f"fixture file {path.name} is not valid JSON: {exc}") from exc
-    for key, want in (
-        ("schema_version", SCHEMA_VERSION),
-        ("kind", "packing-fixture"),
-        ("name", spec.name),
-        ("cycle_type", list(spec.cycle_type)),
-    ):
-        if record.get(key) != want:
-            raise FixtureError(f"fixture {name}: field {key!r} is {record.get(key)!r}, expected {want!r}")
     try:
         perm = Permutation(tuple(record["perm"]))
         trace = (TraceStep("fixture", {"name": name}),)
         e = Embedding(realize(CycleType(spec.cycle_type)), perm, trace)
     except (KeyError, TypeError, ValueError) as exc:
         raise FixtureError(f"fixture {name}: stored permutation is not a valid packing: {exc}") from exc
-    if record.get("invariants") != dict(sorted(spec.invariants.items())):
-        raise FixtureError(f"fixture {name}: declared invariants drifted from the registry")
+    if stored != serialize_fixture(name, e):
+        regen = f"cyclepack fixtures regen {name}"
+        raise FixtureError(f"fixture {name}: file bytes differ from canonical serialization; run `{regen}`")
     if not satisfies(make_sum(e).sum, spec.invariants):
         raise FixtureError(f"fixture {name}: stored packing violates declared invariants {spec.invariants}")
     _CACHE[name] = e
@@ -159,9 +156,6 @@ def load_fixture(name: str) -> Embedding:
 
 
 def verify_fixture(name: str) -> Embedding:
-    """Load with full revalidation and confirm the file is byte-stable."""
-    e = load_fixture(name)
-    stored = fixture_path(name).read_text()
-    if serialize_fixture(name, e) != stored:
-        raise FixtureError(f"fixture {name}: file bytes differ from canonical serialization")
-    return e
+    """load_fixture without the cache: reread and recheck the file."""
+    _CACHE.pop(name, None)
+    return load_fixture(name)

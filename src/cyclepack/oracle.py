@@ -64,7 +64,7 @@ class Verdict(str, Enum):
 @dataclass(frozen=True)
 class SearchConstraints:
     """Leaf filters (tri-state: True/False/None=don't care) and stop rules.
-    A stop rule, when set, is at least 1."""
+    A stop rule, when set, is an int (not a bool) of at least 1."""
 
     require_k4: bool | None = None
     require_planar: bool | None = None
@@ -75,6 +75,8 @@ class SearchConstraints:
     def __post_init__(self):
         for name in ("limit", "class_limit"):
             value = getattr(self, name)
+            if value is not None and type(value) is not int:
+                raise ValueError(f"{name} must be an int, got {value!r}")
             if value is not None and value < 1:
                 raise ValueError(f"{name} must be at least 1, got {value}")
         _check_declared(self.declared())
@@ -137,13 +139,13 @@ def enumerate_embeddings(
 
     A search that can run through every leaf, because it has no stop
     rule or because a declared filter may reject every leaf, refuses g
-    beyond SOFT_VERTEX_LIMIT vertices unless CYCLEPACK_ALLOW_LARGE is
-    set.  An unfiltered first-hit search has no vertex limit.
+    beyond SOFT_VERTEX_LIMIT vertices unless CYCLEPACK_ALLOW_LARGE=1.
+    An unfiltered first-hit search has no vertex limit.
     """
     constraints = constraints or SearchConstraints()
     declared = constraints.declared()
     unbounded = constraints.limit is None and constraints.class_limit is None
-    if (declared or unbounded) and g.n > SOFT_VERTEX_LIMIT and not os.environ.get(_ENV_OVERRIDE):
+    if (declared or unbounded) and g.n > SOFT_VERTEX_LIMIT and os.environ.get(_ENV_OVERRIDE) != "1":
         kind = "filtered search (its filter may reject every leaf)" if declared else "exhaustive enumeration"
         raise ValueError(
             f"{kind} of n={g.n} exceeds the soft limit {SOFT_VERTEX_LIMIT}; "

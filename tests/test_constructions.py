@@ -3,12 +3,17 @@
 from __future__ import annotations
 
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from cyclepack import constructions
 from cyclepack.constructions import (
+    bxy_packing,
     choose_coprime_shift,
     cross_packing_33_6,
     divide_and_pack,
@@ -24,10 +29,10 @@ from cyclepack.constructions import (
     two_distinct_embeddings,
     unique_packing,
 )
-from cyclepack.embedding import CycleType, make_sum, realize, recognize_two_factor
+from cyclepack.embedding import CycleType, check_embedding, make_sum, realize, recognize_two_factor
 from cyclepack.fixtures import FIXTURE_SPECS
-from cyclepack.graph import connected_components
-from cyclepack.invariants import contains_k4, is_bipartite
+from cyclepack.graph import Permutation, connected_components
+from cyclepack.invariants import contains_k4, is_bipartite, max_triangle_subset
 from cyclepack.oracle import (
     NOT_EMBEDDABLE_TYPES,
     UNIQUE_TYPES,
@@ -369,6 +374,43 @@ def test_replay_trace_error_paths():
     e = pack_some(CycleType((5,)))
     with pytest.raises(ValueError):
         replay_trace(CycleType((6,)), e.trace)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: max_triangle_subset(realize(CycleType((19,))), 9), "limited to n <= 18, got 19"),
+        (lambda: k4_embedding(CycleType((3, 6)), cycle_index=2), "cycle index 2 out of range"),
+        (lambda: bxy_packing(CycleType((4, 4)), "tripartite"), "variant must be one of"),
+        (lambda: two_distinct_embeddings(CycleType((3, 3))), "admits no packing at all"),
+        (lambda: check_embedding(realize(CycleType((5,))), Permutation(tuple(range(6)))), "length does not match"),
+    ],
+    ids=["triangle-max-past-18", "k4-cycle-index", "bxy-variant", "pair-of-c3c3", "perm-length"],
+)
+def test_requests_outside_the_domain_are_refused(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+LYING_BIPARTITE = """
+import sys
+from types import SimpleNamespace
+from cyclepack import constructions
+from cyclepack.embedding import CycleType
+constructions.is_bipartite = lambda g: SimpleNamespace(bipartite=False)
+try:
+    constructions.bxy_packing(CycleType((4, 4)), "bipartite")
+except RuntimeError:
+    sys.exit(0)
+sys.exit(1)
+"""
+
+
+def test_a_failed_construction_check_raises_under_python_O():
+    # python -O strips assert statements; the checks must still refuse
+    env = {**os.environ, "PYTHONPATH": str(Path(constructions.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-O", "-c", LYING_BIPARTITE], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
 
 
 def test_trace_steps_are_json_serializable():

@@ -7,6 +7,7 @@ import json
 import pytest
 
 import cyclepack.fixtures as fixtures
+from cyclepack.cli import main
 from cyclepack.embedding import CycleType, make_sum, realize, recognize_two_factor
 from cyclepack.fixtures import (
     FixtureError,
@@ -38,8 +39,9 @@ def test_fixtures_declare_true_invariants():
 
 def test_committed_bytes_match_fresh_search():
     # regeneration is deterministic: a from-scratch search reserializes
-    # to exactly the committed file
-    for name in ("c3c6-planar", "c3c3c4-k4", "c3c3c3c4-cut"):
+    # to exactly the committed file, which ties every file to its spec's
+    # first search hit
+    for name in fixture_names():
         fresh = serialize_fixture(name, search_fixture(name))
         assert fresh == fixture_path(name).read_text()
 
@@ -97,6 +99,19 @@ def test_tampered_schema_is_rejected(tmp_path, monkeypatch):
         load_fixture("c3c7-planar")
 
 
+def test_a_canonical_file_violating_its_declaration_is_rejected(tmp_path, monkeypatch, capsys):
+    # the non-planar packing, serialized canonically as the planar fixture:
+    # only the declared-invariant check can refuse it
+    name = "c3c6-planar"
+    (tmp_path / f"{name}.json").write_text(serialize_fixture(name, load_fixture("c3c6-nonplanar")))
+    monkeypatch.setattr(fixtures, "_DIR", tmp_path)
+    monkeypatch.setattr(fixtures, "_CACHE", {})
+    with pytest.raises(FixtureError, match="violates declared invariants"):
+        load_fixture(name)
+    assert main(["fixtures", "verify", name]) == 2
+    assert '"ok": false' in capsys.readouterr().out
+
+
 def test_missing_file_is_reported(tmp_path, monkeypatch):
     monkeypatch.setattr(fixtures, "_DIR", tmp_path)
     monkeypatch.setattr(fixtures, "_CACHE", {})
@@ -113,14 +128,16 @@ def test_non_json_file_is_reported(tmp_path, monkeypatch):
 
 
 def test_stale_bytes_fail_verify(tmp_path, monkeypatch):
-    # valid packing, but serialized with different whitespace
+    # valid packing, but serialized with different whitespace: every load
+    # checks the canonical bytes, not only verify
     name = "c3c6-planar"
     record = json.loads(fixture_path(name).read_text())
     (tmp_path / f"{name}.json").write_text(json.dumps(record, sort_keys=True))
     monkeypatch.setattr(fixtures, "_DIR", tmp_path)
     monkeypatch.setattr(fixtures, "_CACHE", {})
-    with pytest.raises(FixtureError, match="byte"):
-        verify_fixture(name)
+    for load in (verify_fixture, load_fixture):
+        with pytest.raises(FixtureError, match="byte"):
+            load(name)
 
 
 def test_fixture_trace_is_replayable():

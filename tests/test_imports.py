@@ -1,7 +1,10 @@
-"""networkx stays behind one call site.  It only proposes planarity
+"""Rules on the package source, read from its syntax trees.
+
+networkx stays behind one call site.  It only proposes planarity
 verdicts, a rotation system or "not planar", which the package checks
 before it trusts them, so the package imports it exactly once, inside
-invariants._rotation_system."""
+invariants._rotation_system.  No check is an assert statement, which
+python -O would strip."""
 
 from __future__ import annotations
 
@@ -35,3 +38,11 @@ def test_networkx_is_imported_once_inside_the_rotation_verifier():
         module = ".".join(path.relative_to(SRC).with_suffix("").parts)
         sites += networkx_imports(ast.parse(path.read_text()), module)
     assert sites == ["invariants._rotation_system"]
+
+
+def test_no_module_checks_with_assert():
+    sites = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        sites += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert sites == []

@@ -365,6 +365,18 @@ def test_soft_limits(monkeypatch):
     assert find_embedding(large, SearchConstraints(require_connected=True)) is not None
 
 
+@pytest.mark.parametrize("value, lifted", [("0", False), ("", False), ("1", True)])
+def test_only_allow_large_1_lifts_the_soft_limit(monkeypatch, value, lifted):
+    monkeypatch.setenv("CYCLEPACK_ALLOW_LARGE", value)
+    large = realize(CycleType((SOFT_VERTEX_LIMIT + 1,)))
+    connected = SearchConstraints(require_connected=True)
+    if lifted:
+        assert find_embedding(large, connected) is not None
+    else:
+        with pytest.raises(ValueError, match="soft limit"):
+            find_embedding(large, connected)
+
+
 def test_oracle_classifies_to_the_canonical_limit_without_override(monkeypatch):
     monkeypatch.delenv("CYCLEPACK_ALLOW_LARGE", raising=False)
     limit = invariants._CANON_MAX
@@ -457,5 +469,10 @@ def test_stop_rules_below_one_are_refused():
             SearchConstraints(limit=bad)
         with pytest.raises(ValueError, match=f"class_limit must be at least 1, got {bad}"):
             sum_classes(g, class_limit=bad)
+    # a stop rule is an int: a float, a bool or a string is refused as well
+    for name in ("limit", "class_limit"):
+        for bad in (1.5, True, "2"):
+            with pytest.raises(ValueError, match=f"{name} must be an int, got {bad!r}"):
+                SearchConstraints(**{name: bad})
     assert enumerate_embeddings(g, SearchConstraints(limit=1)).visited == 1
     assert len(sum_classes(g, class_limit=1).classes) == 1

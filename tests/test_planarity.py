@@ -201,6 +201,20 @@ def test_a_rotation_failing_the_face_count_raises(monkeypatch, no_memo):
             check(g)
 
 
+def test_a_rotation_of_another_graph_raises(monkeypatch, no_memo):
+    # K3,3 plus 01 and 12 is non-planar with 6 triangles, as many as the
+    # count allows, so networkx is asked.  The lie rotates the octahedron
+    # minus one edge, which passes the face count (6 - 11 + 7 = 2): only
+    # the neighbourhood check can refuse it.
+    g = build_graph(6, [(a, b) for a in range(3) for b in range(3, 6)] + [(0, 1), (1, 2)])
+    octahedron = nx.octahedral_graph()
+    octahedron.remove_edge(0, 1)
+    rotation = real_rotation_system(tuple(octahedron.edges()))
+    monkeypatch.setattr(invariants, "_rotation_system", lambda edges: rotation)
+    with pytest.raises(RuntimeError, match="does not match the block's neighbourhoods"):
+        is_planar(g)
+
+
 @pytest.mark.parametrize("lie, planar", [("non-planar", "no"), ("scrambled", "yes")])
 def test_a_failed_check_exits_2(monkeypatch, capsys, no_memo, lie, planar):
     monkeypatch.setattr(invariants, "_rotation_system", LIES[lie])
