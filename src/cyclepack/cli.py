@@ -91,9 +91,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _check_writable(path: str) -> None:
-    """Reject an output path that cannot be written, before any work is done."""
-    if os.path.isdir(path) or not os.path.isdir(os.path.dirname(os.path.abspath(path))):
-        raise ValueError(f"cannot write {path}: not a file name in an existing directory")
+    """Reject an output path that cannot be written, before any work is done:
+    an empty file name ('' or a trailing slash), a directory, or a file in
+    a missing directory."""
+    named = os.path.basename(path) and not os.path.isdir(path)
+    if not named or not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+        raise ValueError(f"cannot write {path!r}: not a file name in an existing directory")
 
 
 def _timed(doc: dict, t0: float, wanted: bool) -> dict:
@@ -173,7 +176,7 @@ def _cmd_pack(args) -> int:
 
 def _cmd_census(args) -> int:
     t0 = time.perf_counter()
-    if args.out:
+    if args.out is not None:
         _check_writable(args.out)
     rep = oracle.census(args.n_max, jobs=args.jobs)
     rows = []
@@ -198,7 +201,7 @@ def _cmd_census(args) -> int:
     }
     doc = report.document("census", **_timed(payload, t0, args.timings))
     text = report.serialize(doc)
-    if args.out:
+    if args.out is not None:
         with open(args.out, "w") as fh:
             fh.write(text)
         # the rows went to the file; stdout names it, as export names its dot path

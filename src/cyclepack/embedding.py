@@ -17,7 +17,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .graph import Graph, Permutation, apply_permutation, build_graph, edge_sum
-from .invariants import are_isomorphic
 
 _PART = re.compile(r"^[Cc]?(\d+)$")
 
@@ -117,17 +116,6 @@ def recognize_two_factor(g: Graph) -> CycleType | None:
 
 
 @dataclass(frozen=True)
-class EmbeddingViolation:
-    """Report of every edge of g whose image lands back on an edge of g."""
-
-    clashes: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
-
-    def __str__(self) -> str:
-        items = ", ".join(f"{e}->{img}" for e, img in self.clashes)
-        return f"{len(self.clashes)} edge clash(es): {items}"
-
-
-@dataclass(frozen=True)
 class TraceStep:
     """One replayable construction step."""
 
@@ -137,7 +125,9 @@ class TraceStep:
 
 @dataclass(frozen=True)
 class Embedding:
-    """A validated self-embedding: perm maps every edge of graph to a non-edge."""
+    """A validated self-embedding: perm maps every edge of graph to a non-edge.
+    The constructor is the one validator: a perm that is not an embedding
+    raises ValueError naming every edge whose image is an edge."""
 
     graph: Graph
     perm: Permutation
@@ -148,7 +138,8 @@ class Embedding:
             raise ValueError("permutation length does not match vertex count")
         clashes = _image_clashes(self.graph, self.perm)
         if clashes:
-            raise ValueError(f"not an embedding: {EmbeddingViolation(clashes)}")
+            items = ", ".join(f"{edge}->{image}" for edge, image in clashes)
+            raise ValueError(f"not an embedding: {len(clashes)} edge clash(es): {items}")
 
     def red_graph(self) -> Graph:
         return apply_permutation(self.graph, self.perm)
@@ -167,16 +158,6 @@ def _image_clashes(g: Graph, p: Permutation) -> tuple:
     return tuple(clashes)
 
 
-def check_embedding(g: Graph, p: Permutation) -> Embedding | EmbeddingViolation:
-    """Validate p as a self-embedding of g; return the Embedding or the full clash list."""
-    if len(p) != g.n:
-        raise ValueError("permutation length does not match vertex count")
-    clashes = _image_clashes(g, p)
-    if clashes:
-        return EmbeddingViolation(clashes)
-    return Embedding(g, p)
-
-
 @dataclass(frozen=True)
 class PackingSum:
     """Black edges of g, red image edges, and their edge-disjoint union."""
@@ -190,8 +171,3 @@ def make_sum(e: Embedding) -> PackingSum:
     """Assemble the packing sum of a validated embedding."""
     red = e.red_graph()
     return PackingSum(e.graph, red, edge_sum(e.graph, red))
-
-
-def are_distinct(e1: Embedding, e2: Embedding) -> bool:
-    """True iff the two packing sums are non-isomorphic."""
-    return not are_isomorphic(make_sum(e1).sum, make_sum(e2).sum)

@@ -23,19 +23,15 @@ def bits(mask: int):
 class Graph:
     """Immutable simple graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "adj", "_hash")
+    __slots__ = ("n", "adj")
 
     def __init__(self, n: int, adj: tuple[int, ...]):
         # adj must already be a symmetric, loop-free bitset table
         self.n = n
         self.adj = adj
-        self._hash = hash((n, adj))
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
-
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
 
     def edges(self) -> list[tuple[int, int]]:
         """Sorted list of edges as (u, v) pairs with u < v."""
@@ -54,7 +50,7 @@ class Graph:
         return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self.n, self.adj))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.edges()})"
@@ -127,10 +123,6 @@ class Permutation:
     def compose(self, other: Permutation) -> Permutation:
         """self after other: (self.compose(other))(v) == self(other(v))."""
         return Permutation(tuple(self.image[w] for w in other.image))
-
-    @staticmethod
-    def identity(n: int) -> Permutation:
-        return Permutation(tuple(range(n)))
 
 
 def apply_permutation(g: Graph, p: Permutation) -> Graph:
@@ -225,8 +217,3 @@ def cut_vertices(g: Graph) -> set[int]:
         cuts.update(v for v in block if v in seen)
         seen.update(block)
     return cuts
-
-
-def is_regular(g: Graph, degree: int) -> bool:
-    """True iff every vertex has the given degree."""
-    return all(a.bit_count() == degree for a in g.adj)

@@ -41,7 +41,8 @@ _TRIANGLE_MAX = 18
 
 
 def canonical_form(g: Graph) -> CanonicalForm:
-    """Exact canonical form of g; equal bytes iff isomorphic graphs.
+    """Exact canonical form of g; equal bytes iff isomorphic graphs, so
+    comparing forms is the package's isomorphism test.
 
     The form is the least adjacency encoding over the leaves of an
     individualise-refine search tree.  The root partition groups the
@@ -186,15 +187,6 @@ def canonical_form(g: Graph) -> CanonicalForm:
     search([tuple(by_key[k]) for k in sorted(by_key)])
     nbits = n * (n - 1) // 2
     return bytes([n]) + best[0].to_bytes((nbits + 7) // 8 or 1, "big")
-
-
-def are_isomorphic(g: Graph, h: Graph) -> bool:
-    """Exact isomorphism test via canonical forms, after cheap screens."""
-    if g.n != h.n or g.edge_count != h.edge_count:
-        return False
-    if sorted(a.bit_count() for a in g.adj) != sorted(a.bit_count() for a in h.adj):
-        return False
-    return canonical_form(g) == canonical_form(h)
 
 
 def contains_k4(g: Graph) -> tuple[int, int, int, int] | None:

@@ -47,11 +47,14 @@ def load_embedding_record(rec: dict) -> Embedding:
     malformed record raises ValueError."""
     try:
         ct = parse_cycle_type(rec["cycle_type"])
-        perm = Permutation(tuple(rec["perm"]))
+        image = tuple(rec["perm"])
         trace = tuple(TraceStep(s["op"], s["params"]) for s in rec.get("trace", []))
     except (AttributeError, KeyError, TypeError) as exc:
         raise ValueError(f"malformed embedding record: {exc!r}") from exc
-    return Embedding(realize(ct), perm, trace)
+    # JSON's 2.0 and true compare equal to 2 and 1, so only the entry's type refuses them
+    if any(type(v) is not int for v in image):
+        raise ValueError(f"malformed embedding record: perm entries must be integers, got {rec['perm']!r}")
+    return Embedding(realize(ct), Permutation(image), trace)
 
 
 def serialize(doc: dict) -> str:

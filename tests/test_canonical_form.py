@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from cyclepack.embedding import CycleType, make_sum, parse_cycle_type, realize
 from cyclepack.graph import Graph, Permutation, apply_permutation, build_graph, complement
-from cyclepack.invariants import are_isomorphic, canonical_form
+from cyclepack.invariants import canonical_form
 from cyclepack.oracle import SearchConstraints, enumerate_embeddings
 
 
@@ -226,4 +226,3 @@ def test_symmetric_graphs_are_keyed(name):
     for shift in (1, 5, 7):
         h = relabel(g, [(shift * v + 3) % g.n for v in range(g.n)])
         assert canonical_form(h) == form
-        assert are_isomorphic(g, h)

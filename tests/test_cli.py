@@ -74,6 +74,16 @@ def test_usage_errors_exit_1(tmp_path, capsys, monkeypatch):
     assert code == 1 and missing in err
     code, _, err = run(capsys, "export", "C5", "--dot", str(tmp_path))
     assert code == 1 and str(tmp_path) in err
+    # so is an empty file name, '' or a path ending in a slash
+    for argv in (
+        ("census", "5", "--out", ""),
+        ("export", "C5", "--dot", ""),
+        ("export", "C5", "--dot", f"{tmp_path}/nodir/"),
+        ("export", "C5", "--dot", f"{tmp_path}/x.dot/"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "") and f"cannot write {argv[-1]!r}" in err, argv
+    assert not any(tmp_path.iterdir())
     # an option the chosen strategy does not read is refused, not dropped
     dot = tmp_path / "c9.dot"
     for argv, option, strategy in (

@@ -29,7 +29,7 @@ from cyclepack.constructions import (
     two_distinct_embeddings,
     unique_packing,
 )
-from cyclepack.embedding import CycleType, check_embedding, make_sum, realize, recognize_two_factor
+from cyclepack.embedding import CycleType, Embedding, make_sum, realize, recognize_two_factor
 from cyclepack.fixtures import FIXTURE_SPECS
 from cyclepack.graph import Permutation, connected_components
 from cyclepack.invariants import contains_k4, is_bipartite, max_triangle_subset
@@ -383,7 +383,7 @@ def test_replay_trace_error_paths():
         (lambda: k4_embedding(CycleType((3, 6)), cycle_index=2), "cycle index 2 out of range"),
         (lambda: bxy_packing(CycleType((4, 4)), "tripartite"), "variant must be one of"),
         (lambda: two_distinct_embeddings(CycleType((3, 3))), "admits no packing at all"),
-        (lambda: check_embedding(realize(CycleType((5,))), Permutation(tuple(range(6)))), "length does not match"),
+        (lambda: Embedding(realize(CycleType((5,))), Permutation(tuple(range(6)))), "length does not match"),
     ],
     ids=["triangle-max-past-18", "k4-cycle-index", "bxy-variant", "pair-of-c3c3", "perm-length"],
 )

@@ -69,6 +69,18 @@ def test_tampered_perm_is_rejected(tmp_path, monkeypatch):
         load_fixture("c3c6-planar")
 
 
+@pytest.mark.parametrize("entry", [float, bool])
+def test_non_int_perm_entries_are_rejected(tmp_path, monkeypatch, entry):
+    # false/true in place of 0/1 would serialize back to the same bytes
+    def retype(record):
+        record["perm"] = [entry(v) if v < 2 else v for v in record["perm"]]
+
+    tampered_env(tmp_path, monkeypatch, "c3c6-planar", retype)
+    for load in (load_fixture, verify_fixture):
+        with pytest.raises(FixtureError, match="entries must be integers"):
+            load("c3c6-planar")
+
+
 def test_reordered_cycle_images_keep_the_red_edge_set(tmp_path, monkeypatch):
     # swapping two images inside one image triangle leaves the packing
     # intact, so integrity checking keys on the edge set, not the perm

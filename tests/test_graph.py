@@ -18,7 +18,6 @@ from cyclepack.graph import (
     cut_vertices,
     disjoint_union,
     edge_sum,
-    is_regular,
 )
 
 
@@ -33,7 +32,7 @@ def test_build_graph_roundtrip():
     assert g.edges() == [(0, 1), (1, 2), (2, 3)]
     assert g.edge_count == 3
     assert g.has_edge(1, 0) and not g.has_edge(0, 2)
-    assert g.degree(1) == 2 and g.degree(3) == 1
+    assert g.adj[1].bit_count() == 2 and g.adj[3].bit_count() == 1
 
 
 def test_build_graph_rejects_bad_edges():
@@ -96,7 +95,6 @@ def test_permutation_validation_and_inverse():
     assert p(0) == 2 and len(p) == 3
     assert p.inverse().image == (1, 2, 0)
     assert p.compose(p.inverse()).image == (0, 1, 2)
-    assert Permutation.identity(3).image == (0, 1, 2)
 
 
 def test_compose_order():
@@ -157,13 +155,6 @@ def test_cut_vertices_match_networkx():
         saw_isolated |= any(a == 0 for a in g.adj)
         saw_bridge |= any(True for _ in nx.bridges(ref))
     assert saw_isolated and saw_bridge
-
-
-def test_is_regular():
-    tri = build_graph(3, [(0, 1), (1, 2), (0, 2)])
-    assert is_regular(tri, 2)
-    assert not is_regular(tri, 3)
-    assert not is_regular(build_graph(3, [(0, 1)]), 2)
 
 
 def test_graph_repr_mentions_edges():

@@ -46,3 +46,22 @@ def test_no_module_checks_with_assert():
         tree = ast.parse(path.read_text())
         sites += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert sites == []
+
+
+def package_imports(path: Path) -> set[str]:
+    """Package modules a module imports, as names relative to the package."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            names.update([node.module] if node.module else [alias.name for alias in node.names])
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("cyclepack"):
+            names.add(node.module.removeprefix("cyclepack").lstrip(".") or "cyclepack")
+        elif isinstance(node, ast.Import):
+            names.update(a.name.removeprefix("cyclepack.") for a in node.names if a.name.startswith("cyclepack"))
+    return names
+
+
+def test_embedding_depends_on_graph_alone():
+    # validating a packing and assembling its sum need no invariant: the
+    # isomorphism test is canonical_form equality, made by the callers
+    assert package_imports(SRC / "embedding.py") == {"graph"}

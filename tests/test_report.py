@@ -52,6 +52,18 @@ def test_load_embedding_record_revalidates():
         load_embedding_record(rec)
 
 
+def test_load_embedding_record_refuses_non_int_entries():
+    # 2.0 and true compare equal to 2 and 1, so only the entry type tells them apart
+    rec = embedding_record(pack_some(CycleType((5,))))
+    assert rec["perm"] == [0, 2, 4, 1, 3]
+    for perm in ([0.0, 2.0, 4.0, 1.0, 3.0], [False, 2, 4, True, 3]):
+        rec["perm"] = perm
+        with pytest.raises(ValueError, match="perm entries must be integers"):
+            load_embedding_record(rec)
+        with pytest.raises(ValueError, match="perm entries must be integers"):
+            load_document(serialize(document("pack", embeddings=[rec])))
+
+
 def test_load_document_checks_schema():
     e = pack_some(CycleType((5,)))
     doc = document("pack", embeddings=[embedding_record(e)])
