@@ -5,6 +5,12 @@ Subcommands: classify (trichotomy verdicts, theorem and oracle), pack
 oracle over all types up to a total), export (DOT drawing of a packing
 sum), fixtures (regen or verify the committed packings).
 
+classify --mode both and census compare the closed-form verdict with
+the oracle's.  The oracle's verdict and its distinct_sums_found count
+its witness packings, which have pairwise non-isomorphic sums: 0, 1,
+or 2 where the search stops.  agree and the census disagreements are
+read from the two verdicts.
+
 Exit codes: 0 success, 1 usage or parse error (including non-embeddable
 inputs, unknown fixture names and output paths that cannot be written),
 2 internal error or corrupted fixture, 3 census disagreement.
@@ -110,7 +116,7 @@ def _cmd_classify(args) -> int:
     ct = parse_cycle_type(args.cycle_type)
     payload: dict = {"cycle_type": ct.render(), "mode": args.mode}
     if args.mode in ("theorem", "both"):
-        payload["theorem"] = oracle.classify_by_theorem(ct).verdict.value
+        payload["theorem"] = oracle.classify_by_theorem(ct).value
     if args.mode in ("oracle", "both"):
         cls = oracle.classify_by_oracle(ct)
         payload["oracle"] = {

@@ -2,11 +2,11 @@
 every type outside the six unique and three impossible ones admits at
 least two non-isomorphic packing sums.
 
-Every function returns a validated Embedding carrying a replayable
-construction trace.  The constructions are verified by the checker and,
-where they claim a structural invariant (K4 present/absent, planar or
-not, bipartite or not, cut vertex or not), that claim is checked here
-rather than trusted; a failed check raises RuntimeError, also under
+Every function returns an Embedding carrying a replayable construction
+trace, and the Embedding constructor validates each packing.  Where a
+construction claims a structural invariant (K4 present/absent, planar
+or not, bipartite or not, cut vertex or not), that claim is checked
+here rather than trusted; a failed check raises RuntimeError, also under
 python -O.  two_distinct_embeddings separates its pair by one invariant
 of oracle.INVARIANTS, the registry of invariant names, certificate
 labels and checks, and certifies it as "<label>: v1 vs v2".

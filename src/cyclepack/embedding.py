@@ -23,18 +23,21 @@ _PART = re.compile(r"^[Cc]?(\d+)$")
 
 @dataclass(frozen=True)
 class CycleType:
-    """Multiset of cycle lengths, stored sorted ascending."""
+    """Multiset of cycle lengths, stored as an ascending tuple of ints
+    whatever iterable of ints it is given."""
 
     lengths: tuple[int, ...]
 
     def __post_init__(self):
-        if not self.lengths:
+        lengths = tuple(self.lengths)
+        if not lengths:
             raise ValueError("cycle type must have at least one cycle")
-        if any(m < 3 for m in self.lengths):
-            bad = min(self.lengths)
-            raise ValueError(f"cycle length below 3: {bad}")
-        if list(self.lengths) != sorted(self.lengths):
-            object.__setattr__(self, "lengths", tuple(sorted(self.lengths)))
+        for m in lengths:
+            if type(m) is not int:
+                raise ValueError(f"cycle length must be an int, got {m!r}")
+        if min(lengths) < 3:
+            raise ValueError(f"cycle length below 3: {min(lengths)}")
+        object.__setattr__(self, "lengths", tuple(sorted(lengths)))
 
     @property
     def total(self) -> int:

@@ -20,11 +20,14 @@ or a class count.  On a relabelled 2-factor, bounds read from its own
 cycles still keep one packing per edge set but not always the least, so
 a first hit could move; only the canonical realization is reduced.
 
-Classification compares this oracle against the closed-form verdict
-table: embeddability fails exactly for C3, C4 and C3+C3; of the
-embeddable types exactly C5, C6, C3+C4, C3+C5, C3+C3+C3 and
-C3+C3+C3+C3 admit a single sum class; everything else admits at least
-two.
+The census compares this oracle against the closed-form verdict table
+that classify_by_theorem reads: embeddability fails exactly for C3, C4
+and C3+C3; of the embeddable types exactly C5, C6, C3+C4, C3+C5,
+C3+C3+C3 and C3+C3+C3+C3 admit a single sum class; everything else
+admits at least two.  An oracle Classification keeps only its evidence,
+one witness per sum class (the search stops at two) and the search's
+counters; its class count and verdict are read from the witnesses, and
+a census row's agreement from its two verdicts.
 """
 
 from __future__ import annotations
@@ -244,30 +247,40 @@ def sum_classes(g: Graph, *, class_limit: int | None = None) -> SearchOutcome:
 
 @dataclass(frozen=True)
 class Classification:
-    """Verdict for one cycle type, with up to two witness embeddings."""
+    """The oracle's evidence for one cycle type: one witness embedding
+    per sum class found, at most two, and the search that found them.
+    The class count, the verdict and the raw leaf count follow from it."""
 
     cycle_type: CycleType
-    verdict: Verdict
-    witnesses: tuple[Embedding, ...] = ()
-    class_count: int | None = None
-    exhausted: bool | None = None
-    reduced_leaves: int | None = None
+    witnesses: tuple[Embedding, ...]
+    exhausted: bool
+    reduced_leaves: int
+
+    @property
+    def class_count(self) -> int:
+        """Sum classes found; the search stops at two, one witness each."""
+        return len(self.witnesses)
+
+    @property
+    def verdict(self) -> Verdict:
+        """0, 1 or 2 classes: not, uniquely or multiply embeddable."""
+        return (Verdict.NOT_EMBEDDABLE, Verdict.UNIQUE, Verdict.MULTIPLE)[self.class_count]
 
     @property
     def raw_leaves(self) -> int | None:
         """Total valid permutations, derived from the reduced count when exhausted."""
-        if self.exhausted and self.reduced_leaves is not None:
+        if self.exhausted:
             return self.reduced_leaves * self.cycle_type.automorphism_count()
         return None
 
 
-def classify_by_theorem(ct: CycleType) -> Classification:
+def classify_by_theorem(ct: CycleType) -> Verdict:
     """Closed-form verdict from the characterization table; no search."""
     if ct.lengths in NOT_EMBEDDABLE_TYPES:
-        return Classification(ct, Verdict.NOT_EMBEDDABLE)
+        return Verdict.NOT_EMBEDDABLE
     if ct.lengths in UNIQUE_TYPES:
-        return Classification(ct, Verdict.UNIQUE)
-    return Classification(ct, Verdict.MULTIPLE)
+        return Verdict.UNIQUE
+    return Verdict.MULTIPLE
 
 
 def classify_by_oracle(ct: CycleType) -> Classification:
@@ -278,23 +291,8 @@ def classify_by_oracle(ct: CycleType) -> Classification:
     that can visit every leaf, and 18 only triangle-max."""
     if ct.total > _CANON_MAX:
         raise ValueError(f"oracle classification is limited to n <= {_CANON_MAX}, got {ct} (n={ct.total})")
-    g = realize(ct)
-    out = sum_classes(g, class_limit=2)
-    count = len(out.classes)
-    if count == 0:
-        verdict = Verdict.NOT_EMBEDDABLE
-    elif count == 1:
-        verdict = Verdict.UNIQUE
-    else:
-        verdict = Verdict.MULTIPLE
-    return Classification(
-        ct,
-        verdict,
-        witnesses=tuple(out.classes.values())[:2],
-        class_count=count,
-        exhausted=out.exhausted,
-        reduced_leaves=out.leaves,
-    )
+    out = sum_classes(realize(ct), class_limit=2)
+    return Classification(ct, tuple(out.classes.values()), out.exhausted, out.leaves)
 
 
 @dataclass(frozen=True)
@@ -390,7 +388,6 @@ class CensusRow:
     cycle_type: CycleType
     theorem: Verdict
     oracle: Verdict
-    agree: bool
     class_count: int
     exhausted: bool
     reduced_leaves: int
@@ -398,84 +395,81 @@ class CensusRow:
     certificate: str | None
     seconds: float
 
+    @property
+    def agree(self) -> bool:
+        return self.theorem == self.oracle
+
 
 @dataclass(frozen=True)
 class CensusReport:
     n_max: int
     rows: tuple[CensusRow, ...]
-    disagreements: int
+
+    @property
+    def disagreements(self) -> int:
+        return sum(1 for r in self.rows if not r.agree)
 
 
-def partitions_with_min_part(n: int, min_part: int = 3) -> list[tuple[int, ...]]:
-    """All multisets of parts >= min_part summing to n, ascending, lex order."""
-    out: list[tuple[int, ...]] = []
+def census_types(n_max: int) -> list[CycleType]:
+    """Every cycle type with 3 <= total <= n_max, ordered by total, then
+    by its ascending lengths in lex order."""
+    types: list[CycleType] = []
 
-    def rec(remaining: int, least: int, acc: tuple[int, ...]):
+    def extend(remaining: int, least: int, acc: tuple[int, ...]) -> None:
+        # acc ascends, so each next part is at least the last, and what
+        # it leaves is either nothing or room for another part as large
         if remaining == 0:
-            out.append(acc)
+            types.append(CycleType(acc))
             return
         for part in range(least, remaining + 1):
             rest = remaining - part
             if rest == 0 or rest >= part:
-                rec(rest, part, acc + (part,))
+                extend(rest, part, acc + (part,))
 
-    rec(n, min_part, ())
-    return out
-
-
-def census_types(n_max: int) -> list[CycleType]:
-    """Every cycle type with 3 <= total <= n_max, ordered by total then parts."""
-    types = []
     for n in range(3, n_max + 1):
-        for parts in partitions_with_min_part(n):
-            types.append(CycleType(parts))
+        extend(n, 3, ())
     return types
 
 
 def _census_row(ct: CycleType) -> CensusRow:
     """One census row; any failure inside it names the cycle type."""
     try:
-        return _compute_census_row(ct)
+        start = time.perf_counter()
+        orac = classify_by_oracle(ct)
+        certificate = None
+        if orac.class_count == 2:
+            s1, s2 = (make_sum(w).sum for w in orac.witnesses)
+            sep = first_distinguishing_invariant(s1, s2)
+            certificate = f"{sep[0]}: {sep[1]} vs {sep[2]}" if sep is not None else "canonical only"
+        return CensusRow(
+            cycle_type=ct,
+            theorem=classify_by_theorem(ct),
+            oracle=orac.verdict,
+            class_count=orac.class_count,
+            exhausted=orac.exhausted,
+            reduced_leaves=orac.reduced_leaves,
+            raw_leaves=orac.raw_leaves,
+            certificate=certificate,
+            seconds=time.perf_counter() - start,
+        )
     except Exception as exc:
         raise RuntimeError(f"census row {ct.render()} failed: {exc!r}") from exc
-
-
-def _compute_census_row(ct: CycleType) -> CensusRow:
-    start = time.perf_counter()
-    theo = classify_by_theorem(ct)
-    orac = classify_by_oracle(ct)
-    certificate = None
-    if len(orac.witnesses) == 2:
-        s1 = make_sum(orac.witnesses[0]).sum
-        s2 = make_sum(orac.witnesses[1]).sum
-        sep = first_distinguishing_invariant(s1, s2)
-        certificate = (
-            f"{sep[0]}: {sep[1]} vs {sep[2]}" if sep is not None else "canonical only"
-        )
-    return CensusRow(
-        cycle_type=ct,
-        theorem=theo.verdict,
-        oracle=orac.verdict,
-        agree=theo.verdict == orac.verdict,
-        class_count=orac.class_count or 0,
-        exhausted=bool(orac.exhausted),
-        reduced_leaves=orac.reduced_leaves or 0,
-        raw_leaves=orac.raw_leaves,
-        certificate=certificate,
-        seconds=time.perf_counter() - start,
-    )
 
 
 def census(n_max: int, *, jobs: int = 1) -> CensusReport:
     """Theorem-vs-oracle comparison across every cycle type up to n_max vertices.
 
-    n_max runs from 3 to _CANON_MAX (24), the limit of oracle
-    classification, with no override; anything else is refused before the
-    first row.  The soft limit 14 bounds only searches that can visit
-    every leaf, and 18 only triangle-max.  jobs worker processes share the
-    rows; more than os.cpu_count() are never started.  A worker that dies
-    outright fails the census naming the first row whose result was lost.
+    n_max is an int from 3 to _CANON_MAX (24), the limit of oracle
+    classification, with no override, and jobs an int of at least 1;
+    anything else is refused with ValueError before the first row.  The
+    soft limit 14 bounds only searches that can visit every leaf, and 18
+    only triangle-max.  jobs worker processes share the rows; more than
+    os.cpu_count() are never started.  A worker that dies outright fails
+    the census naming the first row whose result was lost.
     """
+    for name, value in (("n_max", n_max), ("jobs", jobs)):
+        if type(value) is not int:
+            raise ValueError(f"{name} must be an int, got {value!r}")
     if not 3 <= n_max <= _CANON_MAX:
         raise ValueError(f"census n_max must be between 3 and {_CANON_MAX}, got {n_max}")
     if jobs < 1:
@@ -496,5 +490,4 @@ def census(n_max: int, *, jobs: int = 1) -> CensusReport:
         rows = tuple(done)
     else:
         rows = tuple(_census_row(ct) for ct in types)
-    disagreements = sum(1 for r in rows if not r.agree)
-    return CensusReport(n_max=n_max, rows=rows, disagreements=disagreements)
+    return CensusReport(n_max=n_max, rows=rows)

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import shlex
+import shutil
+from pathlib import Path
 
 import pytest
 from test_oracle import fail_row
@@ -219,7 +222,6 @@ def test_census_disagreement_exits_3(capsys, monkeypatch):
             cycle_type=rows[0].cycle_type,
             theorem=oracle.Verdict.NOT_EMBEDDABLE,
             oracle=oracle.Verdict.UNIQUE,
-            agree=False,
             class_count=1,
             exhausted=True,
             reduced_leaves=1,
@@ -227,7 +229,7 @@ def test_census_disagreement_exits_3(capsys, monkeypatch):
             certificate=None,
             seconds=0.0,
         )
-        return oracle.CensusReport(n_max=rep.n_max, rows=tuple(rows), disagreements=1)
+        return oracle.CensusReport(n_max=rep.n_max, rows=tuple(rows))
 
     monkeypatch.setattr(cli.oracle, "census", fake)
     code, out, _ = run(capsys, "census", "3")
@@ -251,7 +253,7 @@ def test_oracle_refuses_past_24_before_any_work(capsys, monkeypatch, override):
         monkeypatch.delenv("CYCLEPACK_ALLOW_LARGE", raising=False)
     else:
         monkeypatch.setenv("CYCLEPACK_ALLOW_LARGE", override)
-    monkeypatch.setattr(oracle, "_compute_census_row", lambda ct: pytest.fail("a census row ran"))
+    monkeypatch.setattr(oracle, "_census_row", lambda ct: pytest.fail("a census row ran"))
     monkeypatch.setattr(oracle, "enumerate_embeddings", lambda *a, **k: pytest.fail("a search ran"))
     for argv in (("census", "25"), ("classify", "C25", "--mode", "oracle")):
         code, out, err = run(capsys, *argv)
@@ -323,3 +325,23 @@ def test_internal_error_exits_2(capsys, monkeypatch):
     code, _, err = run(capsys, "classify", "C5", "--mode", "oracle")
     assert code == 2
     assert "internal error" in err
+
+
+def readme_cli_lines() -> list[str]:
+    """The cyclepack invocations in the README's CLI section's shell block."""
+    text = (Path(__file__).parent.parent / "README.md").read_text()
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("cyclepack ")]
+
+
+def test_readme_cli_block_runs(tmp_path, capsys, monkeypatch):
+    # files the lines write land in tmp_path, and regen rewrites a copy
+    monkeypatch.chdir(tmp_path)
+    shutil.copytree(fixtures._DIR, tmp_path / "fixtures")
+    monkeypatch.setattr(fixtures, "_DIR", tmp_path / "fixtures")
+    monkeypatch.setattr(fixtures, "_CACHE", {})
+    lines = readme_cli_lines()
+    assert len(lines) == 10
+    for line in lines:
+        code, _, err = run(capsys, *shlex.split(line)[1:])
+        assert code == 0, (line, err)

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from cyclepack.constructions import pack_some
 from cyclepack.embedding import (
     CycleType,
     Embedding,
@@ -16,6 +17,7 @@ from cyclepack.embedding import (
 )
 from cyclepack.graph import Permutation, apply_permutation, build_graph
 from cyclepack.invariants import canonical_form
+from cyclepack.oracle import Verdict, classify_by_theorem
 
 
 def test_cycle_type_sorts_and_validates():
@@ -24,6 +26,22 @@ def test_cycle_type_sorts_and_validates():
         CycleType(())
     with pytest.raises(ValueError):
         CycleType((3, 2))
+
+
+@pytest.mark.parametrize("lengths", [[3, 4], [4, 3], (4, 3), range(3, 5)])
+def test_cycle_type_holds_a_sorted_tuple(lengths):
+    ct = CycleType(lengths)
+    assert type(ct.lengths) is tuple and ct.lengths == (3, 4)
+    assert ct == CycleType((3, 4)) and hash(ct) == hash(CycleType((3, 4)))
+    # both look the lengths up in sets of tuples
+    assert classify_by_theorem(ct) == Verdict.UNIQUE
+    assert pack_some(ct).graph == realize(CycleType((3, 4)))
+
+
+@pytest.mark.parametrize("lengths", [(3.5,), (3, 4.0), (True, 3), (3, False), ("3",)])
+def test_cycle_type_refuses_a_length_that_is_not_an_int(lengths):
+    with pytest.raises(ValueError, match="cycle length must be an int, got "):
+        CycleType(lengths)
 
 
 def test_cycle_type_render_and_parse():

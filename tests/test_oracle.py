@@ -6,6 +6,7 @@ import multiprocessing
 import os
 import time
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import replace
 from itertools import permutations
 
 import networkx as nx
@@ -31,7 +32,6 @@ from cyclepack.oracle import (
     find_embedding,
     first_distinguishing_invariant,
     invariant_value,
-    partitions_with_min_part,
     satisfies,
     sum_classes,
 )
@@ -198,29 +198,52 @@ def test_sum_classes_class_limit():
 
 
 def test_classify_by_theorem_table():
-    assert classify_by_theorem(CycleType((3,))).verdict == Verdict.NOT_EMBEDDABLE
-    assert classify_by_theorem(CycleType((3, 3))).verdict == Verdict.NOT_EMBEDDABLE
-    assert classify_by_theorem(CycleType((3, 5))).verdict == Verdict.UNIQUE
-    assert classify_by_theorem(CycleType((3, 3, 3, 3))).verdict == Verdict.UNIQUE
-    assert classify_by_theorem(CycleType((7,))).verdict == Verdict.MULTIPLE
-    assert classify_by_theorem(CycleType((3, 3, 3, 3, 3))).verdict == Verdict.MULTIPLE
+    assert classify_by_theorem(CycleType((3,))) == Verdict.NOT_EMBEDDABLE
+    assert classify_by_theorem(CycleType((3, 3))) == Verdict.NOT_EMBEDDABLE
+    assert classify_by_theorem(CycleType((3, 5))) == Verdict.UNIQUE
+    assert classify_by_theorem(CycleType((3, 3, 3, 3))) == Verdict.UNIQUE
+    assert classify_by_theorem(CycleType((7,))) == Verdict.MULTIPLE
+    assert classify_by_theorem(CycleType((3, 3, 3, 3, 3))) == Verdict.MULTIPLE
 
 
 def test_classify_by_oracle_matches_theorem_small():
     for lengths in ALL_TYPES_TO_7 + [(3, 5), (4, 4), (8,)]:
         ct = CycleType(lengths)
         cls = classify_by_oracle(ct)
-        assert cls.verdict == classify_by_theorem(ct).verdict, lengths
+        assert cls.verdict == classify_by_theorem(ct), lengths
         assert isinstance(cls, Classification)
         if cls.exhausted:
             assert cls.raw_leaves == cls.reduced_leaves * ct.automorphism_count()
 
 
-def test_partitions_with_min_part():
-    assert partitions_with_min_part(3) == [(3,)]
-    assert partitions_with_min_part(6) == [(3, 3), (6,)]
-    assert partitions_with_min_part(7) == [(3, 4), (7,)]
-    assert partitions_with_min_part(12) == [
+def test_classification_reads_count_and_verdict_from_its_witnesses():
+    ct = CycleType((7,))
+    w1, w2 = classify_by_oracle(ct).witnesses
+    want = [Verdict.NOT_EMBEDDABLE, Verdict.UNIQUE, Verdict.MULTIPLE]
+    for count, witnesses in enumerate([(), (w1,), (w1, w2)]):
+        cls = Classification(ct, witnesses, exhausted=False, reduced_leaves=5)
+        assert (cls.class_count, cls.verdict, cls.raw_leaves) == (count, want[count], None)
+    assert Classification(ct, (w1, w2), exhausted=True, reduced_leaves=5).raw_leaves == 5 * 14
+
+
+def test_census_row_agreement_cannot_be_set():
+    row = census(3).rows[0]
+    assert row.agree and not replace(row, oracle=Verdict.UNIQUE).agree
+    with pytest.raises(TypeError):
+        replace(row, agree=False)
+    assert oracle.CensusReport(3, (replace(row, oracle=Verdict.UNIQUE),)).disagreements == 1
+
+
+def by_total(types: list[CycleType], n: int) -> list[tuple[int, ...]]:
+    return [ct.lengths for ct in types if ct.total == n]
+
+
+def test_census_types_lists_partitions_into_parts_of_at_least_3():
+    types = census_types(13)
+    assert by_total(types, 3) == [(3,)]
+    assert by_total(types, 6) == [(3, 3), (6,)]
+    assert by_total(types, 7) == [(3, 4), (7,)]
+    assert by_total(types, 12) == [
         (3, 3, 3, 3),
         (3, 3, 6),
         (3, 4, 5),
@@ -231,9 +254,10 @@ def test_partitions_with_min_part():
         (6, 6),
         (12,),
     ]
-    for parts in partitions_with_min_part(13):
+    assert [ct.total for ct in types] == sorted(ct.total for ct in types)
+    for parts in by_total(types, 13):
         assert sum(parts) == 13 and min(parts) >= 3
-        assert list(parts) == sorted(parts)
+    assert len(set(types)) == len(types)
 
 
 def test_census_types_count_to_12():
@@ -254,10 +278,14 @@ def test_census_to_7_has_no_disagreements():
 
 
 def test_census_jobs_parallel_matches_serial():
-    serial = census(6)
-    parallel = census(6, jobs=2)
-    assert [r.cycle_type for r in serial.rows] == [r.cycle_type for r in parallel.rows]
-    assert [r.oracle for r in serial.rows] == [r.oracle for r in parallel.rows]
+    serial = census(8)
+    parallel = census(8, jobs=2)
+
+    def untimed(rep):
+        return [replace(r, seconds=0.0) for r in rep.rows]
+
+    assert len(serial.rows) == 10
+    assert untimed(serial) == untimed(parallel)
 
 
 def test_census_jobs_bounded(monkeypatch):
@@ -265,6 +293,9 @@ def test_census_jobs_bounded(monkeypatch):
         census(5, jobs=0)
     with pytest.raises(ValueError):
         census(5, jobs=-3)
+    for jobs in (1.5, True, "2"):
+        with pytest.raises(ValueError, match=f"jobs must be an int, got {jobs!r}"):
+            census(5, jobs=jobs)
     started = []
 
     class RecordingPool:
@@ -324,16 +355,17 @@ def test_census_row_failure_names_the_type_with_jobs(monkeypatch):
     reason="needs two CPUs, and the patched row reaches the workers only through fork",
 )
 def test_census_names_the_row_lost_to_a_dead_worker(monkeypatch):
-    real = oracle._compute_census_row
+    # the pool pickles _census_row by name, so the patch goes one call deeper
+    real = oracle.classify_by_oracle
     parent = os.getpid()
 
-    def compute(ct):
+    def classify(ct):
         if ct.render() == "C5" and os.getpid() != parent:
             time.sleep(0.2)  # let the other rows report first
             os._exit(3)
         return real(ct)
 
-    monkeypatch.setattr(oracle, "_compute_census_row", compute)
+    monkeypatch.setattr(oracle, "classify_by_oracle", classify)
     with pytest.raises(RuntimeError, match=r"census row C5 failed: a worker process died") as info:
         census(5, jobs=2)
     assert isinstance(info.value.__cause__, BrokenProcessPool)
@@ -388,6 +420,13 @@ def test_oracle_classifies_to_the_canonical_limit_without_override(monkeypatch):
 @pytest.mark.parametrize("n_max", [2, -4])
 def test_census_below_3_is_refused_not_an_empty_agreement(n_max):
     with pytest.raises(ValueError, match=f"between 3 and {invariants._CANON_MAX}, got {n_max}"):
+        census(n_max)
+
+
+@pytest.mark.parametrize("n_max", [5.5, True, "5"])
+def test_census_non_int_n_max_is_refused_before_any_row(monkeypatch, n_max):
+    monkeypatch.setattr(oracle, "classify_by_oracle", lambda ct: pytest.fail("a census row ran"))
+    with pytest.raises(ValueError, match=f"n_max must be an int, got {n_max!r}"):
         census(n_max)
 
 
