@@ -56,10 +56,10 @@ from .oracle import (
     NOT_EMBEDDABLE_TYPES,
     UNIQUE_TYPES,
     SearchConstraints,
+    classify_by_oracle,
     find_embedding,
     invariant_value,
     satisfies,
-    sum_classes,
 )
 
 
@@ -570,11 +570,13 @@ def _fixture_or_ladder(prefix: str, variant: str, p: int) -> Embedding:
 
 
 def _second_class_search(ct: CycleType, first: Embedding) -> Embedding:
-    """First leaf of the reduced search whose sum is not isomorphic to
-    first's: the first leaf, or else the witness of the second class."""
+    """The first of ct's oracle witnesses whose sum is not isomorphic to
+    first's: the first leaf of the reduced search, or else the witness
+    of the second class.  The witnesses carry no class key, so the
+    canonical forms are compared here."""
     want_not = canonical_form(make_sum(first).sum)
-    classes = sum_classes(first.graph, class_limit=2).classes
-    hit = next((e for cf, e in classes.items() if cf != want_not), None)
+    witnesses = classify_by_oracle(ct).witnesses
+    hit = next((e for e in witnesses if canonical_form(make_sum(e).sum) != want_not), None)
     if hit is None:
         raise RuntimeError(f"no second sum class found for {ct}")
     step = _step(

@@ -141,11 +141,7 @@ def load_fixture(name: str) -> Embedding:
     except json.JSONDecodeError as exc:
         raise FixtureError(f"fixture file {path.name} is not valid JSON: {exc}") from exc
     try:
-        image = tuple(record["perm"])
-        # a float or bool entry equals an int, and false/true would serialize back unchanged
-        if any(type(v) is not int for v in image):
-            raise ValueError(f"entries must be integers, got {record['perm']!r}")
-        perm = Permutation(image)
+        perm = Permutation(tuple(record["perm"]))
         trace = (TraceStep("fixture", {"name": name}),)
         e = Embedding(realize(CycleType(spec.cycle_type)), perm, trace)
     except (KeyError, TypeError, ValueError) as exc:

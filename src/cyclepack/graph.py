@@ -104,6 +104,9 @@ class Permutation:
     image: tuple[int, ...]
 
     def __post_init__(self):
+        # 1.0 and True compare equal to 1, so only an entry's type refuses them
+        if any(type(v) is not int for v in self.image):
+            raise ValueError(f"perm entries must be integers, got {self.image!r}")
         n = len(self.image)
         if sorted(self.image) != list(range(n)):
             raise ValueError("image is not a bijection on 0..n-1")

@@ -20,6 +20,12 @@ or a class count.  On a relabelled 2-factor, bounds read from its own
 cycles still keep one packing per edge set but not always the least, so
 a first hit could move; only the canonical realization is reduced.
 
+Sum classes are keyed, by the canonical form of each leaf's sum,
+exactly when SearchConstraints.class_limit is set; the outcome then
+keeps one witness embedding per class, in the order the classes were
+found, and no key.  classify_by_oracle is the one class search in the
+package, with class_limit 2 on the canonical realization.
+
 The census compares this oracle against the closed-form verdict table
 that classify_by_theorem reads: embeddability fails exactly for C3, C4
 and C3+C3; of the embeddable types exactly C5, C6, C3+C4, C3+C5,
@@ -35,7 +41,7 @@ from __future__ import annotations
 import os
 import time
 from collections.abc import Callable, Mapping
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 
 from .embedding import CycleType, Embedding, make_sum, realize, recognize_two_factor
@@ -101,7 +107,7 @@ class SearchOutcome:
     exhausted: bool
     visited: int  # embeddings that passed the constraints
     leaves: int  # all valid embeddings encountered
-    classes: dict[bytes, Embedding] = field(default_factory=dict)
+    classes: tuple[Embedding, ...] = ()  # one witness per sum class, in the order found
 
 
 def _reduction_bounds(g: Graph) -> list[int | None] | None:
@@ -130,7 +136,6 @@ def enumerate_embeddings(
     visit=None,
     *,
     reduced: bool = False,
-    track_classes: bool = False,
 ) -> SearchOutcome:
     """Backtracking enumeration of all self-embeddings of g.
 
@@ -139,6 +144,10 @@ def enumerate_embeddings(
     canonical realization of its cycle type and then visits one
     permutation per image edge set, under the contract in the module
     docstring.
+
+    Passing leaves are keyed into sum classes exactly when
+    constraints.class_limit is set, and the search stops once that many
+    classes are in hand.
 
     A search that can run through every leaf, because it has no stop
     rule or because a declared filter may reject every leaf, refuses g
@@ -163,21 +172,23 @@ def enumerate_embeddings(
     nbrs_before = [[u for u in bits(adj[v]) if u < v] for v in range(n)]
     full = (1 << n) - 1
     image = [0] * n
-    track = track_classes or constraints.class_limit is not None
+    class_limit = constraints.class_limit
+    seen: set[bytes] = set()  # canonical forms of the classes found
     out = SearchOutcome(exhausted=True, visited=0, leaves=0)
 
     def leaf() -> bool:
         out.leaves += 1
         e = Embedding(g, Permutation(tuple(image)))
-        s = make_sum(e).sum if declared or track else None
+        s = make_sum(e).sum if declared or class_limit is not None else None
         if declared and not satisfies(s, declared):
             return True
         out.visited += 1
-        if track:
+        if class_limit is not None:
             cf = canonical_form(s)
-            if cf not in out.classes:
-                out.classes[cf] = e
-                if constraints.class_limit is not None and len(out.classes) >= constraints.class_limit:
+            if cf not in seen:
+                seen.add(cf)
+                out.classes += (e,)
+                if len(out.classes) >= class_limit:
                     return False
         if visit is not None and visit(e) is False:
             return False
@@ -230,21 +241,6 @@ def find_embedding(
     return hit[0] if hit else None
 
 
-def sum_classes(g: Graph, *, class_limit: int | None = None) -> SearchOutcome:
-    """Isomorphism classes of packing sums with one witness embedding each.
-
-    Exhausts the embedding space unless class_limit stops it early, so
-    without class_limit g is held to the soft vertex limit; the classes
-    dict maps canonical forms to first-found witnesses in deterministic
-    order.  The search runs in reduced mode when g is a canonical
-    cycle-type realization, which changes only the leaf count (see the
-    module docstring).
-    """
-    constraints = SearchConstraints(class_limit=class_limit)
-    reduced = _reduction_bounds(g) is not None
-    return enumerate_embeddings(g, constraints, reduced=reduced, track_classes=True)
-
-
 @dataclass(frozen=True)
 class Classification:
     """The oracle's evidence for one cycle type: one witness embedding
@@ -291,8 +287,8 @@ def classify_by_oracle(ct: CycleType) -> Classification:
     that can visit every leaf, and 18 only triangle-max."""
     if ct.total > _CANON_MAX:
         raise ValueError(f"oracle classification is limited to n <= {_CANON_MAX}, got {ct} (n={ct.total})")
-    out = sum_classes(realize(ct), class_limit=2)
-    return Classification(ct, tuple(out.classes.values()), out.exhausted, out.leaves)
+    out = enumerate_embeddings(realize(ct), SearchConstraints(class_limit=2), reduced=True)
+    return Classification(ct, out.classes, out.exhausted, out.leaves)
 
 
 @dataclass(frozen=True)

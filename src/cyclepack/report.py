@@ -51,9 +51,6 @@ def load_embedding_record(rec: dict) -> Embedding:
         trace = tuple(TraceStep(s["op"], s["params"]) for s in rec.get("trace", []))
     except (AttributeError, KeyError, TypeError) as exc:
         raise ValueError(f"malformed embedding record: {exc!r}") from exc
-    # JSON's 2.0 and true compare equal to 2 and 1, so only the entry's type refuses them
-    if any(type(v) is not int for v in image):
-        raise ValueError(f"malformed embedding record: perm entries must be integers, got {rec['perm']!r}")
     return Embedding(realize(ct), Permutation(image), trace)
 
 

@@ -36,12 +36,12 @@ from cyclepack.invariants import contains_k4, max_triangle_subset
 from cyclepack.oracle import (
     NOT_EMBEDDABLE_TYPES,
     UNIQUE_TYPES,
+    SearchConstraints,
     Verdict,
     census,
     census_types,
     enumerate_embeddings,
     invariant_value,
-    sum_classes,
 )
 
 
@@ -64,7 +64,8 @@ def test_criterion_02_uniquely_embeddable_types():
     under two minutes total)."""
     start = time.perf_counter()
     for lengths in sorted(UNIQUE_TYPES):
-        out = sum_classes(realize(CycleType(lengths)))
+        # a class_limit above the count, so the search must run to the end
+        out = enumerate_embeddings(realize(CycleType(lengths)), SearchConstraints(class_limit=2), reduced=True)
         assert out.exhausted, lengths
         assert len(out.classes) == 1, lengths
     assert time.perf_counter() - start < 120.0
@@ -101,12 +102,10 @@ def test_criterion_03_c5_fills_k5_and_c6_leaves_a_matching():
 def test_criterion_04_c7_two_classes_with_named_complements():
     """C7 admits at least two sum classes; their complements are C7 and
     C3+C4."""
-    out = sum_classes(realize(CycleType((7,))))
+    out = enumerate_embeddings(realize(CycleType((7,))), SearchConstraints(class_limit=3), reduced=True)
     assert out.exhausted
     assert len(out.classes) >= 2
-    complement_types = {
-        recognize_two_factor(complement(sum_graph(e))) for e in out.classes.values()
-    }
+    complement_types = {recognize_two_factor(complement(sum_graph(e))) for e in out.classes}
     assert CycleType((7,)) in complement_types
     assert CycleType((3, 4)) in complement_types
 
@@ -177,7 +176,9 @@ def test_criterion_05_census_to_12_has_zero_disagreements(monkeypatch):
     are in hand.  Each certificate is pinned, and networkx confirms on
     the row's two witness sums that they are not isomorphic and that the
     certificate names the first yes/no invariant, in oracle.INVARIANTS
-    order, on which they differ.  Budget: 30 minutes."""
+    order, on which they differ.  two_distinct_embeddings returns a pair
+    exactly for the rows the oracle calls multiply embeddable and refuses
+    the other nine.  Budget: 30 minutes."""
     witnesses = {}
     classify = oracle.classify_by_oracle
 
@@ -195,6 +196,7 @@ def test_criterion_05_census_to_12_has_zero_disagreements(monkeypatch):
     assert {r.cycle_type.render(): r.certificate for r in rep.rows} == CENSUS_12_CERTIFICATES
     yes_no = [name for name, inv in oracle.INVARIANTS.items() if not inv.valued]
     assert sorted(yes_no) == sorted(NX_YES_NO)
+    refused = []
     for row in rep.rows:
         assert row.agree, row.cycle_type
         assert row.exhausted or row.class_count >= 2, row.cycle_type
@@ -206,6 +208,12 @@ def test_criterion_05_census_to_12_has_zero_disagreements(monkeypatch):
             else Verdict.MULTIPLE
         )
         assert row.oracle == expected, row.cycle_type
+        if row.oracle == Verdict.MULTIPLE:
+            assert two_distinct_embeddings(row.cycle_type).cycle_type == row.cycle_type
+        else:
+            refused.append(row.cycle_type)
+            with pytest.raises(ValueError):
+                two_distinct_embeddings(row.cycle_type)
         if row.certificate is None:
             continue
         h1, h2 = (to_networkx(sum_graph(e)) for e in witnesses[row.cycle_type.render()])
@@ -217,6 +225,7 @@ def test_criterion_05_census_to_12_has_zero_disagreements(monkeypatch):
                 separated = f"{name}: {v1} vs {v2}"
                 break
         assert row.certificate == separated, row.cycle_type
+    assert len(refused) == 9
     assert elapsed < 1800.0
 
 

@@ -370,6 +370,10 @@ def test_replay_trace_error_paths():
     rotate = TraceStep("rotate", {"cycle_type": [5], "r": 2})
     with pytest.raises(ValueError, match="must open the trace"):
         replay_trace(CycleType((5,)), (rotate, rotate))
+    # a trace's distinct_from reaches Permutation, which refuses 1.0 and True for 1
+    second = TraceStep("search-second-class", {"cycle_type": [7], "distinct_from": [0.0, 2.0, 4.0, 6.0, 1.0, 3.0, 5.0]})
+    with pytest.raises(ValueError, match="perm entries must be integers"):
+        replay_trace(CycleType((7,)), (second,))
     # a valid trace replayed against the wrong target type must fail
     e = pack_some(CycleType((5,)))
     with pytest.raises(ValueError):

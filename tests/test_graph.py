@@ -91,6 +91,10 @@ def test_permutation_validation_and_inverse():
         Permutation((0, 0, 1))
     with pytest.raises(ValueError):
         Permutation((1, 2, 3))
+    # 1.0 and True compare equal to 1, so a check on values alone accepts them
+    for image in ((1.0, 0.0, 2.0), (False, 2, 4, True, 3), (0, 1.0, 2), (0, "1")):
+        with pytest.raises(ValueError, match="perm entries must be integers, got"):
+            Permutation(image)
     p = Permutation((2, 0, 1))
     assert p(0) == 2 and len(p) == 3
     assert p.inverse().image == (1, 2, 0)

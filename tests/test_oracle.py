@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import sys
 import time
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
@@ -14,11 +15,12 @@ import pytest
 from test_canonical_form import to_nx
 from test_planarity import scrambled
 
-from cyclepack.constructions import embedding_from_red_edges
-from cyclepack.embedding import CycleType, make_sum, realize
+from cyclepack.constructions import embedding_from_red_edges, two_distinct_embeddings
+from cyclepack.embedding import CycleType, Embedding, make_sum, realize
 from cyclepack.fixtures import load_fixture
 from cyclepack.graph import Permutation, apply_permutation, build_graph, connected_components
-from cyclepack import invariants, oracle
+from cyclepack.invariants import canonical_form
+from cyclepack import fixtures, invariants, oracle
 from cyclepack.oracle import (
     SOFT_VERTEX_LIMIT,
     Classification,
@@ -33,7 +35,6 @@ from cyclepack.oracle import (
     first_distinguishing_invariant,
     invariant_value,
     satisfies,
-    sum_classes,
 )
 
 ALL_TYPES_TO_7 = [(3,), (4,), (5,), (3, 3), (6,), (3, 4), (7,)]
@@ -85,15 +86,29 @@ def test_reduced_mode_visits_the_least_packing_of_each_image_edge_set():
             assert e.perm == embedding_from_red_edges(ct, e.red_graph()).perm, (lengths, e.perm)
 
 
+def classes_by_full_search(g) -> tuple[list, int]:
+    """The class search's independent reference: the full search, keeping
+    the first leaf of each sum's canonical form, and its leaf count."""
+    first = {}
+
+    def visit(e):
+        first.setdefault(canonical_form(make_sum(e).sum), e)
+
+    out = enumerate_embeddings(g, visit=visit)
+    return list(first.values()), out.leaves
+
+
 @pytest.mark.parametrize("lengths", ALL_TYPES_TO_7, ids=lambda t: CycleType(t).render())
 def test_reduced_mode_keeps_every_witness_and_first_hit(lengths):
     """Reduced mode changes the leaf count but never an answer."""
     ct = CycleType(lengths)
     g = realize(ct)
-    full = enumerate_embeddings(g, track_classes=True)
-    reduced = sum_classes(g)
-    assert reduced.leaves * ct.automorphism_count() == full.leaves  # sum_classes reduced
-    assert list(reduced.classes.items()) == list(full.classes.items())
+    witnesses, full_leaves = classes_by_full_search(g)
+    # a class_limit above the class count exhausts the search
+    reduced = enumerate_embeddings(g, SearchConstraints(class_limit=len(witnesses) + 1), reduced=True)
+    assert reduced.exhausted
+    assert reduced.leaves * ct.automorphism_count() == full_leaves
+    assert reduced.classes == tuple(witnesses)
     for name in ("require_planar", "require_k4", "require_connected"):
         for want in (True, False):
             constraints = SearchConstraints(**{name: want})
@@ -189,12 +204,17 @@ def test_planar_declaration_needs_a_verified_rotation_system(monkeypatch):
     assert hit.perm == first_nonplanar.perm
 
 
-def test_sum_classes_class_limit():
+def test_class_limit_keys_and_stops_the_class_search(monkeypatch):
     g = realize(CycleType((7,)))
-    full = sum_classes(g)
+    full = enumerate_embeddings(g, SearchConstraints(class_limit=3), reduced=True)
     assert len(full.classes) == 2 and full.exhausted
-    capped = sum_classes(g, class_limit=1)
-    assert len(capped.classes) == 1 and not capped.exhausted
+    capped = enumerate_embeddings(g, SearchConstraints(class_limit=1), reduced=True)
+    assert capped.classes == full.classes[:1] and not capped.exhausted
+    assert all(isinstance(e, Embedding) for e in full.classes)
+    # without a class_limit no leaf is keyed
+    monkeypatch.setattr(oracle, "canonical_form", lambda s: pytest.fail("a leaf was keyed"))
+    plain = enumerate_embeddings(g, reduced=True)
+    assert plain.exhausted and plain.classes == ()
 
 
 def test_classify_by_theorem_table():
@@ -382,8 +402,6 @@ def test_soft_limits(monkeypatch):
     with pytest.raises(ValueError, match=f"between 3 and {limit}"):
         census(limit + 1)
     large = realize(CycleType((SOFT_VERTEX_LIMIT + 1,)))
-    with pytest.raises(ValueError, match="soft limit"):
-        sum_classes(large)
     # a filter may reject every leaf, so a filtered first-hit search can exhaust too
     for filtered in (SearchConstraints(require_planar=True), SearchConstraints(require_connected=True)):
         with pytest.raises(ValueError, match="filtered search.*CYCLEPACK_ALLOW_LARGE"):
@@ -444,6 +462,44 @@ def test_census_classifies_each_row_through_the_module_global(monkeypatch):
     rep = census(5)
     assert calls == [((row.cycle_type,), {}) for row in rep.rows]
     assert len(calls) == 3
+
+
+def test_every_search_calls_the_enumerator_through_its_module_global(monkeypatch):
+    # the benchmark's tracer puts a wrapper in place of enumerate_embeddings
+    # under every name that refers to it in a loaded cyclepack module, and
+    # reads leaves, visited and len(classes) from each return
+    outcomes = []
+    real = oracle.enumerate_embeddings
+
+    def traced(*args, **kwargs):
+        out = real(*args, **kwargs)
+        outcomes.append((out.leaves, out.visited, len(out.classes)))
+        return out
+
+    patched = set()
+    for name, mod in list(sys.modules.items()):
+        if name == "cyclepack" or name.startswith("cyclepack."):
+            for attr, value in list(vars(mod).items()):
+                if value is real:
+                    monkeypatch.setattr(mod, attr, traced)
+                    patched.add(name)
+    assert {"cyclepack.oracle", "cyclepack.fixtures"} <= patched
+
+    def calls(run) -> list:
+        before = len(outcomes)
+        run()
+        return outcomes[before:]
+
+    c7 = CycleType((7,))
+    classified = calls(lambda: classify_by_oracle(c7))
+    assert len(classified) == 1 and classified[0][2] == 2
+    searches = (
+        lambda: find_embedding(realize(CycleType((3, 6))), SearchConstraints(require_planar=True), reduced=True),
+        lambda: fixtures.search_fixture("c3c6-planar"),
+        lambda: two_distinct_embeddings(c7),
+    )
+    for run in searches:
+        assert calls(run)
 
 
 def test_constrained_search_skips_soft_limit():
@@ -507,11 +563,11 @@ def test_stop_rules_below_one_are_refused():
         with pytest.raises(ValueError, match=f"limit must be at least 1, got {bad}"):
             SearchConstraints(limit=bad)
         with pytest.raises(ValueError, match=f"class_limit must be at least 1, got {bad}"):
-            sum_classes(g, class_limit=bad)
+            SearchConstraints(class_limit=bad)
     # a stop rule is an int: a float, a bool or a string is refused as well
     for name in ("limit", "class_limit"):
         for bad in (1.5, True, "2"):
             with pytest.raises(ValueError, match=f"{name} must be an int, got {bad!r}"):
                 SearchConstraints(**{name: bad})
     assert enumerate_embeddings(g, SearchConstraints(limit=1)).visited == 1
-    assert len(sum_classes(g, class_limit=1).classes) == 1
+    assert len(enumerate_embeddings(g, SearchConstraints(class_limit=1)).classes) == 1

@@ -8,12 +8,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
 from dataclasses import fields
 from itertools import combinations
 
 import networkx as nx
 import pytest
-from test_acceptance import LADDER_BASES, to_networkx
+from test_acceptance import LADDER_BASES, NX_YES_NO, to_networkx
 
 from cyclepack.constructions import ladder_extend, pack_some, two_distinct_embeddings
 from cyclepack.embedding import CycleType, make_sum, realize
@@ -133,3 +134,24 @@ def test_packs_are_byte_identical():
     records = [embedding_record(pack_some(ct)) for ct in types]
     assert len(records) == 238
     assert digest(records) == PACKS_DIGEST, f"new digest {digest(records)}"
+
+
+# ------------------------------------------------- past the oracle's reach
+
+
+def test_pairs_past_the_oracle_are_separated_by_networkx():
+    """Past 12 vertices every type is multiply embeddable, so a certified
+    pair is the whole check there.  Every multiply-embeddable type of 25-30
+    vertices, beyond the oracle's 24, gets a pair, and networkx re-reads
+    its separator on both sums."""
+    types = [ct for ct in census_types(30) if ct.total >= 25]
+    assert len(types) == 1313
+    reference = {**NX_YES_NO, **REFERENCE}
+    used = Counter()
+    for ct in types:
+        pair = two_distinct_embeddings(ct)
+        v1, v2 = (reference[pair.invariant](to_networkx(make_sum(e).sum)) for e in (pair.first, pair.second))
+        assert v1 != v2, (ct, pair.invariant)
+        assert pair.certificate == f"{INVARIANTS[pair.invariant].label}: {v1} vs {v2}", ct
+        used[pair.invariant] += 1
+    assert used == {"connectivity": 1289, "k4": 12, "planar": 12}
